@@ -34,7 +34,6 @@ from .meter import (
     GaussianPointer,
     MeterReadout,
     QuadratureGrid,
-    exact_mean_momentum,
     exact_mean_position,
     pointer_momentum_amplitude,
     pointer_position_amplitude,

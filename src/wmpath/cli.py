@@ -238,24 +238,27 @@ def _discrete_from_args(args) -> tuple[LoadedScenario, dict]:
 # ---------------------------------------------------------------------------
 # measurement rows
 
-def _measurement_row(loaded: LoadedScenario, delta_f: float) -> dict:
+def _measurement_record(loaded: LoadedScenario, ladder) -> RunRecord:
+    """One row per accuracy delta_f, all from one set of path amplitudes."""
     spec = loaded.transition.with_observable(loaded.observable)
     amps = path_amplitudes(spec)
-    pointer = GaussianPointer(delta_f)
-    exact = exact_mean_position(amps, loaded.observable, pointer)
-    weak = weak_asymptotics(relative_amplitudes(amps), loaded.observable, pointer)
+    alphas = relative_amplitudes(amps)
     grouped = group(amps, loaded.partition)
     strong = strong_mean(loaded.partition.group_values,
                          strong_probabilities(grouped))
-    return {
-        "delta_f": delta_f,
-        "mean_f_exact": exact.mean_f,
-        "mean_lambda_exact": exact.mean_lambda,
-        "mean_f_weak_asym": weak.mean_f,
-        "mean_lambda_weak_asym": weak.mean_lambda,
-        "mean_f_strong_asym": strong,
-        "norm": exact.norm,
-    }
+    record = RunRecord(scenario=loaded.name, columns=SWEEP_COLUMNS)
+    for delta_f in ladder:
+        pointer = GaussianPointer(float(delta_f))
+        exact = exact_mean_position(amps, loaded.observable, pointer)
+        weak = weak_asymptotics(alphas, loaded.observable, pointer)
+        record.add_row(delta_f=pointer.delta_f,
+                       mean_f_exact=exact.mean_f,
+                       mean_lambda_exact=exact.mean_lambda,
+                       mean_f_weak_asym=weak.mean_f,
+                       mean_lambda_weak_asym=weak.mean_lambda,
+                       mean_f_strong_asym=strong,
+                       norm=exact.norm)
+    return record
 
 
 def _strong_record(loaded: LoadedScenario, strong_name: str) -> RunRecord:
@@ -295,9 +298,7 @@ def _cmd_run(args):
     delta_f = float(delta_f)
     if not (np.isfinite(delta_f) and delta_f > 0):
         raise ConfigError("delta_f must be finite and > 0")
-    record = RunRecord(scenario=loaded.name, columns=SWEEP_COLUMNS)
-    record.add_row(**_measurement_row(loaded, delta_f))
-    return record, config.get("output")
+    return _measurement_record(loaded, [delta_f]), config.get("output")
 
 
 def _sweep_ladder(args, config: dict) -> np.ndarray:
@@ -321,10 +322,7 @@ def _sweep_ladder(args, config: dict) -> np.ndarray:
 def _cmd_sweep(args):
     loaded, config = _discrete_from_args(args)
     ladder = _sweep_ladder(args, config)
-    record = RunRecord(scenario=loaded.name, columns=SWEEP_COLUMNS)
-    for delta_f in ladder:
-        record.add_row(**_measurement_row(loaded, float(delta_f)))
-    return record, config.get("output")
+    return _measurement_record(loaded, ladder), config.get("output")
 
 
 def _read_complex_array(path: str, where: str) -> list[complex]:

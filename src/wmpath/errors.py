@@ -15,7 +15,7 @@ class ConfigError(WmpathError):
 
 
 class ConvergenceError(WmpathError):
-    """The Jacobi eigensolver did not converge within its sweep cap."""
+    """LAPACK's Hermitian eigensolver (``numpy.linalg.eigh``) did not converge."""
 
 
 class OrthogonalPostselection(WmpathError):

@@ -4,10 +4,11 @@ States, Hermitian observables in spectral form, and unitary time evolution
 (hbar = 1 throughout).  Everything here is immutable after construction and
 all operations are pure, so objects can be shared freely between workers.
 
-The eigensolver is a self-contained cyclic complex Jacobi iteration rather
-than a LAPACK call: dimensions never exceed ~16 in practice, and a
-hand-rolled solver lets us pin down the deterministic ordering and phase
-convention that downstream reconstruction tests rely on.
+``spectral_decompose`` is the one place eigenbases come from.  A matrix with
+no nonzero off-diagonal entry is read off directly; any other goes to
+LAPACK (``numpy.linalg.eigh``).  Either way the ordering (ascending, stable)
+and the eigenvector phase convention are fixed afterwards, so downstream
+results do not depend on which route produced the basis.
 """
 
 from __future__ import annotations
@@ -32,9 +33,6 @@ HERMITICITY_TOL = 1e-12
 ORTHONORMALITY_TOL = 1e-10
 PHASE_PIVOT_TOL = 1e-8
 
-_JACOBI_SWEEP_CAP = 100
-_JACOBI_OFF_TOL = 1e-14
-
 
 def _as_complex_vector(values) -> np.ndarray:
     vec = np.asarray(values, dtype=complex).reshape(-1)
@@ -53,10 +51,13 @@ class StateVector:
 
     def __init__(self, amplitudes):
         vec = _as_complex_vector(amplitudes)
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
+        # scale by the largest modulus first, so that the norm of components
+        # near 1e+-200 neither overflows nor underflows
+        scale = np.abs(vec).max()
+        if scale == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        vec = vec / norm
+        vec = vec / scale
+        vec = vec / np.linalg.norm(vec)
         vec.setflags(write=False)
         object.__setattr__(self, "amplitudes", vec)
 
@@ -154,86 +155,59 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def _fix_phase(column: np.ndarray) -> np.ndarray:
-    """Rotate a unit vector so its first non-negligible entry is positive-real."""
-    for entry in column:
-        mag = abs(entry)
-        if mag > PHASE_PIVOT_TOL:
-            return column * (entry.conjugate() / mag)
-    return column
-
-
-def _offdiag_norm(m: np.ndarray) -> float:
-    off = m - np.diag(np.diag(m))
-    return float(np.linalg.norm(off))
+def _fix_phase(vectors: np.ndarray) -> np.ndarray:
+    """Rotate each unit column (or a single unit vector) so that its first
+    entry of modulus > 1e-8 is positive-real.  A unit vector of fewer than
+    1e16 components always has such an entry."""
+    cols = vectors.reshape(vectors.shape[0], -1)
+    lead_index = (np.abs(cols) > PHASE_PIVOT_TOL).argmax(axis=0)
+    lead = cols[lead_index, np.arange(cols.shape[1])]
+    return (cols * (lead.conj() / np.abs(lead))).reshape(vectors.shape)
 
 
 def spectral_decompose(m: HermitianMatrix) -> Observable:
-    """Diagonalize a Hermitian matrix by cyclic complex Jacobi rotations.
+    """Diagonalize a Hermitian matrix.
 
-    Convergence: off-diagonal Frobenius mass below 1e-14 (relative to the
-    matrix scale), capped at 100 sweeps.  Output ordering is deterministic:
-    eigenvalues ascending, ties kept in sweep order, and each eigenvector's
-    phase fixed by the positive-real convention.
+    A matrix whose off-diagonal entries are all exactly zero is read off
+    directly: its eigenvectors are the standard basis vectors.  Any other
+    matrix goes to ``numpy.linalg.eigh``; ConvergenceError is raised if
+    LAPACK does not converge.  Output ordering is deterministic: eigenvalues
+    ascending by a stable sort, so ties in a diagonal matrix keep basis
+    order, and each eigenvector's phase fixed by the positive-real
+    convention.  Inside a degenerate eigenspace of a non-diagonal matrix the
+    basis is whatever LAPACK returns; quantities summed over such a block
+    (grouped amplitudes, strong statistics, meter readings, weak values) do
+    not depend on that choice.
     """
-    a = np.array(m.entries, dtype=complex)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    tol = _JACOBI_OFF_TOL * scale
-
-    if n > 1:
-        for _ in range(_JACOBI_SWEEP_CAP):
-            if _offdiag_norm(a) <= tol:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if abs(apq) <= tol / (n * n):
-                        continue
-                    app = a[p, p].real
-                    aqq = a[q, q].real
-                    # absorb the phase of a_pq, then rotate the real 2x2 core;
-                    # the small root of t^2 - 2 tau t - 1 = 0 keeps |t| <= 1
-                    phase = apq / abs(apq)
-                    tau = (aqq - app) / (2.0 * abs(apq))
-                    if tau == 0.0:
-                        t = -1.0
-                    else:
-                        t = -np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-                    c = 1.0 / np.hypot(1.0, t)
-                    s = t * c
-                    rot = np.array([[c, -s * phase],
-                                    [s * phase.conjugate(), c]], dtype=complex)
-                    a[:, [p, q]] = a[:, [p, q]] @ rot
-                    a[[p, q], :] = rot.conj().T @ a[[p, q], :]
-                    v[:, [p, q]] = v[:, [p, q]] @ rot
-        else:
-            # cap exhausted; the final sweep may still have finished the job
-            if _offdiag_norm(a) > tol:
-                raise ConvergenceError(
-                    f"Jacobi sweep cap ({_JACOBI_SWEEP_CAP}) reached; "
-                    f"off-diagonal mass {_offdiag_norm(a):.3e}")
-
-    vals = np.diag(a).real.copy()
+    a = m.entries
+    # every nonzero entry on the diagonal: nothing to rotate
+    if np.count_nonzero(a) == np.count_nonzero(a.diagonal()):
+        vals = a.diagonal().real
+        vecs = np.eye(a.shape[0])
+    else:
+        try:
+            vals, vecs = np.linalg.eigh(a)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
+        vecs = _fix_phase(vecs)
     order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = v[:, order]
-    for i in range(n):
-        vecs[:, i] = _fix_phase(vecs[:, i])
-    return Observable(vals, vecs)
+    return Observable(vals[order], vecs[:, order])
 
 
 def evolve(state: StateVector, h, t: float) -> StateVector:
-    """Apply exp(-i h t) to a state via the spectral decomposition of h."""
-    if not isinstance(h, HermitianMatrix):
-        h = HermitianMatrix(h)  # raises on non-Hermitian input
+    """Apply exp(-i h t) to a state via the spectral decomposition of h.
+
+    ``h`` is a Hermitian matrix, decomposed here, or an Observable already in
+    spectral form, so that a caller evolving several states under one
+    Hamiltonian decomposes it once.
+    """
+    if not isinstance(h, Observable):
+        h = Observable.from_matrix(h)  # raises on non-Hermitian input
     if h.dimension != state.dimension:
         raise ValueError(
             f"dimension mismatch: state {state.dimension}, matrix {h.dimension}")
     if not np.isfinite(t):
         raise ValueError("evolution time must be finite")
-    obs = spectral_decompose(h)
-    coeffs = obs.eigenvectors.conj().T @ state.amplitudes
-    evolved = obs.eigenvectors @ (np.exp(-1j * obs.eigenvalues * t) * coeffs)
+    coeffs = h.eigenvectors.conj().T @ state.amplitudes
+    evolved = h.eigenvectors @ (np.exp(-1j * h.eigenvalues * t) * coeffs)
     return StateVector(evolved)

@@ -21,8 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, ZeroNorm
-from .hilbert import Observable
-from .paths import PathAmplitudeSet, RelativeAmplitudeSet
+from .paths import (
+    PathAmplitudeSet,
+    RelativeAmplitudeSet,
+    _eigenvalues_for,
+    weak_value,
+)
 
 __all__ = [
     "GaussianPointer",
@@ -31,7 +35,6 @@ __all__ = [
     "pointer_position_amplitude",
     "pointer_momentum_amplitude",
     "exact_mean_position",
-    "exact_mean_momentum",
     "quadrature_moments",
     "weak_asymptotics",
 ]
@@ -83,18 +86,10 @@ class MeterReadout:
             raise ValueError("post-selection weight cannot be negative")
 
 
-def _eigenvalues_for(a: PathAmplitudeSet, obs) -> np.ndarray:
-    values = obs.eigenvalues if isinstance(obs, Observable) else obs
-    values = np.asarray(values, dtype=float).reshape(-1)
-    if values.size != len(a):
-        raise ValueError("eigenvalue count does not match amplitude count")
-    return values
-
-
 def pointer_position_amplitude(a: PathAmplitudeSet, obs, m: GaussianPointer,
                                f) -> np.ndarray | complex:
     """Final pointer amplitude G'(f) = sum_i A_i G(f - S_i)."""
-    s = _eigenvalues_for(a, obs)
+    s = _eigenvalues_for(obs, len(a))
     f = np.asarray(f, dtype=float)
     out = np.tensordot(a.amplitudes, m.profile(f[..., None] - s), axes=([0], [-1]))
     return out if out.ndim else complex(out)
@@ -103,7 +98,7 @@ def pointer_position_amplitude(a: PathAmplitudeSet, obs, m: GaussianPointer,
 def pointer_momentum_amplitude(a: PathAmplitudeSet, obs, m: GaussianPointer,
                                lam) -> np.ndarray | complex:
     """Final momentum amplitude G'(lambda) = G(lambda) sum_i A_i e^{-i lambda S_i}."""
-    s = _eigenvalues_for(a, obs)
+    s = _eigenvalues_for(obs, len(a))
     lam = np.asarray(lam, dtype=float)
     phases = np.exp(-1j * lam[..., None] * s)
     out = m.momentum_profile(lam) * (phases @ a.amplitudes)
@@ -112,7 +107,7 @@ def pointer_momentum_amplitude(a: PathAmplitudeSet, obs, m: GaussianPointer,
 
 def _kernel_moments(a: PathAmplitudeSet, obs, m: GaussianPointer):
     """The three closed-form double sums over the Gaussian overlap kernel."""
-    s = _eigenvalues_for(a, obs)
+    s = _eigenvalues_for(obs, len(a))
     amps = a.amplitudes
     ds = s[:, None] - s[None, :]
     kernel = np.exp(-(ds ** 2) / (2.0 * m.delta_f ** 2))
@@ -133,20 +128,15 @@ def _checked_norm(norm: complex) -> float:
 
 
 def exact_mean_position(a: PathAmplitudeSet, obs, m: GaussianPointer) -> MeterReadout:
-    """Closed-form mean pointer position at accuracy delta_f."""
+    """Closed-form mean pointer position and momentum at accuracy delta_f.
+
+    The momentum reading is identically zero whenever all amplitudes share
+    a common phase: the kernel double sum is then real-symmetric and the
+    antisymmetric momentum weight cancels pairwise.
+    """
     norm, num_f, num_l = _kernel_moments(a, obs, m)
     n = _checked_norm(norm)
     return MeterReadout(mean_f=num_f.real / n, mean_lambda=num_l.real / n, norm=n)
-
-
-def exact_mean_momentum(a: PathAmplitudeSet, obs, m: GaussianPointer) -> MeterReadout:
-    """Closed-form mean pointer momentum at accuracy delta_f.
-
-    Identically zero whenever all amplitudes share a common phase: the
-    kernel double sum is then real-symmetric and the antisymmetric momentum
-    weight cancels pairwise.
-    """
-    return exact_mean_position(a, obs, m)
 
 
 def weak_asymptotics(r: RelativeAmplitudeSet, obs, m: GaussianPointer) -> MeterReadout:
@@ -155,11 +145,7 @@ def weak_asymptotics(r: RelativeAmplitudeSet, obs, m: GaussianPointer) -> MeterR
     mean_f      = sum_i S_i Re alpha_i
     mean_lambda = (2 / delta_f^2) sum_i S_i Im alpha_i
     """
-    values = obs.eigenvalues if isinstance(obs, Observable) else np.asarray(obs, float)
-    values = values.reshape(-1)
-    if values.size != len(r):
-        raise ValueError("eigenvalue count does not match amplitude count")
-    wv = complex(np.sum(values * r.alphas))
+    wv = weak_value(obs, r)
     return MeterReadout(mean_f=wv.real,
                         mean_lambda=2.0 * m.momentum_variance * wv.imag,
                         norm=1.0)
@@ -192,7 +178,7 @@ def quadrature_moments(a: PathAmplitudeSet, obs, m: GaussianPointer,
     """
     if grid is None:
         grid = QuadratureGrid()
-    s = _eigenvalues_for(a, obs)
+    s = _eigenvalues_for(obs, len(a))
 
     # position density: |G(f)|^2 has sigma = delta_f / 2
     sigma_f = m.delta_f / 2.0

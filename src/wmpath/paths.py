@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OrthogonalPostselection, ZeroTransmission
-from .hilbert import HermitianMatrix, Observable, StateVector, evolve
+from .hilbert import (
+    HermitianMatrix,
+    Observable,
+    StateVector,
+    evolve,
+    spectral_decompose,
+)
 
 __all__ = [
     "TransitionSpec",
@@ -184,18 +190,35 @@ class StrongStatistics:
         object.__setattr__(self, "mean", None if mean is None else float(mean))
 
 
+def _eigenvalues_for(obs, count: int) -> np.ndarray:
+    """Per-path values: an Observable's eigenvalues or a plain sequence,
+    checked against the number of paths they must align with."""
+    values = obs.eigenvalues if isinstance(obs, Observable) else obs
+    values = np.asarray(values, dtype=float).reshape(-1)
+    if values.size != count:
+        raise ValueError(
+            f"{values.size} eigenvalues for {count} path amplitudes")
+    return values
+
+
+def _half_steps(spec: TransitionSpec) -> tuple[np.ndarray, np.ndarray]:
+    """U(-T/2)|phi> and U(T/2)|psi>, from one decomposition of H."""
+    h = spectral_decompose(spec.hamiltonian)
+    half = spec.total_time / 2.0
+    # <phi| U(T/2) = (U(-T/2)|phi>)^dagger
+    return (evolve(spec.phi, h, -half).amplitudes,
+            evolve(spec.psi, h, half).amplitudes)
+
+
 def path_amplitudes(spec: TransitionSpec) -> PathAmplitudeSet:
     """Amplitudes A_i of the N virtual paths, one per eigenstate of the
     observable, with the evolution applied in two half-steps around T/2."""
     if spec.observable is None:
         raise ValueError("TransitionSpec needs an observable to define paths")
-    half = spec.total_time / 2.0
-    u_psi = evolve(spec.psi, spec.hamiltonian, half)
-    # <phi| U(T/2) = (U(-T/2)|phi>)^dagger
-    u_phi = evolve(spec.phi, spec.hamiltonian, -half)
+    u_phi, u_psi = _half_steps(spec)
     basis = spec.observable.eigenvectors
-    left = basis.conj().T @ u_phi.amplitudes     # <i|U(-T/2)|phi>
-    right = basis.conj().T @ u_psi.amplitudes    # <i|U(T/2)|psi>
+    left = basis.conj().T @ u_phi     # <i|U(-T/2)|phi>
+    right = basis.conj().T @ u_psi    # <i|U(T/2)|psi>
     return PathAmplitudeSet(left.conj() * right)
 
 
@@ -248,12 +271,7 @@ def strong_mean(values, w: StrongStatistics) -> float:
     ``values`` may be an Observable (its eigenvalues are used) or a plain
     sequence of per-route values, e.g. the group values of a partition.
     """
-    if isinstance(values, Observable):
-        values = values.eigenvalues
-    vals = np.asarray(values, dtype=float).reshape(-1)
-    if vals.size != w.omegas.size:
-        raise ValueError("value count does not match probability count")
-    return float(vals @ w.omegas)
+    return float(_eigenvalues_for(values, w.omegas.size) @ w.omegas)
 
 
 def weak_value(obs, r: RelativeAmplitudeSet) -> complex:
@@ -264,13 +282,7 @@ def weak_value(obs, r: RelativeAmplitudeSet) -> complex:
     ``obs`` may be an Observable or a plain eigenvalue sequence aligned with
     the relative amplitudes.
     """
-    if isinstance(obs, Observable):
-        values = obs.eigenvalues
-    else:
-        values = np.asarray(obs, dtype=float).reshape(-1)
-    if values.size != len(r):
-        raise ValueError("eigenvalue count does not match amplitude count")
-    return complex(np.sum(values * r.alphas))
+    return complex(np.sum(_eigenvalues_for(obs, len(r)) * r.alphas))
 
 
 def weak_value_from_matrix(spec: TransitionSpec, s_matrix) -> complex:
@@ -281,12 +293,10 @@ def weak_value_from_matrix(spec: TransitionSpec, s_matrix) -> complex:
     operator argument even for non-commuting operators.
     """
     s = np.asarray(s_matrix, dtype=complex)
-    half = spec.total_time / 2.0
-    u_psi = evolve(spec.psi, spec.hamiltonian, half)
-    u_phi = evolve(spec.phi, spec.hamiltonian, -half)
-    denom = complex(np.vdot(u_phi.amplitudes, u_psi.amplitudes))
+    u_phi, u_psi = _half_steps(spec)
+    denom = complex(np.vdot(u_phi, u_psi))
     if abs(denom) <= ORTHOGONALITY_THRESHOLD:
         raise OrthogonalPostselection(
             "post-selection (nearly) orthogonal; weak values diverge")
-    numer = complex(np.vdot(u_phi.amplitudes, s @ u_psi.amplitudes))
+    numer = complex(np.vdot(u_phi, s @ u_psi))
     return numer / denom

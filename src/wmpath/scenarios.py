@@ -63,7 +63,7 @@ class DiscreteScenario:
         if self.reference_alphas is None:
             return
         n = self.transition.dimension
-        labeler = _diagonal_observable(np.arange(1.0, n + 1.0))
+        labeler = Observable.from_matrix(np.diag(np.arange(1.0, n + 1.0)))
         spec = self.transition.with_observable(labeler)
         alphas = relative_amplitudes(path_amplitudes(spec)).alphas
         if np.abs(alphas - self.reference_alphas).max() > 1e-12:
@@ -79,30 +79,16 @@ class TunnelingScenario:
     packet: PacketSpec
 
 
-def _diagonal_observable(values) -> Observable:
-    """Observable diagonal in the standard basis, *kept in basis order*.
-
-    The eigenvalues are not sorted: index i stays attached to basis state
-    |i>, which is what the path bookkeeping of the named scenarios needs.
-    Sorted order is only a requirement of the Observable constructor, so we
-    sort and permute the identity columns accordingly.
-    """
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    eye = np.eye(values.size)
-    return Observable(values[order], eye[:, order])
-
-
 def _spin100() -> DiscreteScenario:
     b = -99.0 / 101.0
     psi = StateVector([1.0, 1.0])
     phi = StateVector([1.0, b])
     transition = TransitionSpec(psi, phi, HermitianMatrix.zero(2))
     observables = {
-        "sigma_z": _diagonal_observable([1.0, -1.0]),
-        "identity": _diagonal_observable([1.0, 1.0]),
-        "P1": _diagonal_observable([1.0, 0.0]),
-        "P2": _diagonal_observable([0.0, 1.0]),
+        "sigma_z": Observable.from_matrix(np.diag([1.0, -1.0])),
+        "identity": Observable.from_matrix(np.diag([1.0, 1.0])),
+        "P1": Observable.from_matrix(np.diag([1.0, 0.0])),
+        "P2": Observable.from_matrix(np.diag([0.0, 1.0])),
     }
     return DiscreteScenario(
         name="spin100",
@@ -120,10 +106,10 @@ def _cheshire() -> DiscreteScenario:
     phi = StateVector([1.0, 1.0, 1.0, -1.0])
     transition = TransitionSpec(psi, phi, HermitianMatrix.zero(4))
     observables = {
-        "PL": _diagonal_observable([1.0, 1.0, 0.0, 0.0]),
-        "PR": _diagonal_observable([0.0, 0.0, 1.0, 1.0]),
-        "sigmaL": _diagonal_observable([1.0, -1.0, 0.0, 0.0]),
-        "sigmaR": _diagonal_observable([0.0, 0.0, 1.0, -1.0]),
+        "PL": Observable.from_matrix(np.diag([1.0, 1.0, 0.0, 0.0])),
+        "PR": Observable.from_matrix(np.diag([0.0, 0.0, 1.0, 1.0])),
+        "sigmaL": Observable.from_matrix(np.diag([1.0, -1.0, 0.0, 0.0])),
+        "sigmaR": Observable.from_matrix(np.diag([0.0, 0.0, 1.0, -1.0])),
     }
     return DiscreteScenario(
         name="cheshire",
@@ -140,9 +126,9 @@ def _threebox() -> DiscreteScenario:
     phi = StateVector([1.0, -1.0, 1.0])
     transition = TransitionSpec(psi, phi, HermitianMatrix.zero(3))
     observables = {
-        "P1": _diagonal_observable([1.0, 0.0, 0.0]),
-        "P2": _diagonal_observable([0.0, 1.0, 0.0]),
-        "P3": _diagonal_observable([0.0, 0.0, 1.0]),
+        "P1": Observable.from_matrix(np.diag([1.0, 0.0, 0.0])),
+        "P2": Observable.from_matrix(np.diag([0.0, 1.0, 0.0])),
+        "P3": Observable.from_matrix(np.diag([0.0, 0.0, 1.0])),
     }
     return DiscreteScenario(
         name="threebox",

@@ -23,7 +23,7 @@ from .errors import (
     TargetSumViolation,
     UnreachableTarget,
 )
-from .hilbert import Observable, StateVector
+from .hilbert import Observable, StateVector, _fix_phase
 from .meter import GaussianPointer, weak_asymptotics
 from .paths import (
     RelativeAmplitudeSet,
@@ -271,9 +271,4 @@ def design_postselection(psi: StateVector, targets) -> StateVector:
         phi[i] = (zi / pi).conjugate()
 
     state = StateVector(phi)  # normalizes; scale freedom lands here
-    amps = state.amplitudes
-    for entry in amps:
-        if abs(entry) > 1e-8:
-            state = StateVector(amps * (entry.conjugate() / abs(entry)))
-            break
-    return state
+    return StateVector(_fix_phase(state.amplitudes))

@@ -106,6 +106,19 @@ class TestSweep:
                                "--points", "1")
         assert code == 2 and "ConfigError" in err
 
+    def test_amplitudes_computed_once_per_ladder(self, capsys, monkeypatch):
+        import wmpath.cli
+
+        calls = []
+        original = wmpath.cli.path_amplitudes
+        monkeypatch.setattr(wmpath.cli, "path_amplitudes",
+                            lambda spec: calls.append(spec) or original(spec))
+        code, out, _ = run_cli(capsys, "sweep", "--scenario", "cheshire",
+                               "--delta-f-min", "0.1", "--delta-f-max", "10",
+                               "--points", "7", "--no-header-meta")
+        assert code == 0 and len(parse_csv(out)[1]) == 7
+        assert len(calls) == 1
+
     def test_determinism_byte_identical(self, capsys):
         args = ("sweep", "--scenario", "threebox", "--delta-f-min", "0.5",
                 "--delta-f-max", "50", "--points", "9", "--log",
@@ -146,6 +159,19 @@ class TestCustomConfig:
         code, _, err = run_cli(capsys, "run", "--config", str(path))
         assert code == 3
         assert "OrthogonalPostselection" in err
+
+    def test_eigensolver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        config = {"name": "custom", "psi": [1.0, 0.0], "phi": [1.0, 1.0],
+                  "observable": [[0.0, 1.0], [1.0, 0.0]]}
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 3
+        assert "ConvergenceError" in err
 
     def test_malformed_state_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wmpath import (
+    ConvergenceError,
     HermitianMatrix,
     StateVector,
     evolve,
@@ -24,6 +25,12 @@ class TestStateVector:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             StateVector([0.0, 0.0])
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_components_normalize(self, scale):
+        # the plain norm overflows (1e200) or underflows (1e-200) here
+        state = StateVector([scale, scale])
+        assert np.abs(state.amplitudes - 1.0 / np.sqrt(2.0)).max() < 1e-15
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -105,6 +112,13 @@ class TestEvolve:
         twice = evolve(evolve(psi, h, t1), h, t2)
         assert np.abs(once.amplitudes - twice.amplitudes).max() < 1e-9
 
+    def test_spectral_form_matches_matrix(self):
+        rng = np.random.default_rng(6)
+        h = random_hermitian(rng, 4)
+        psi = random_state(rng, 4)
+        out = evolve(psi, spectral_decompose(h), 0.8)
+        assert np.array_equal(out.amplitudes, evolve(psi, h, 0.8).amplitudes)
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             evolve(StateVector([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
@@ -133,7 +147,7 @@ class TestSpectralDecompose:
 
     def test_reassembly_and_completeness(self):
         rng = np.random.default_rng(4)
-        for n in (1, 2, 3, 6, 9):
+        for n in (1, 2, 3, 6, 9, 64):
             h = random_hermitian(rng, n)
             obs = spectral_decompose(h)
             assert np.abs(obs.matrix() - h.entries).max() < 1e-9
@@ -154,3 +168,18 @@ class TestSpectralDecompose:
     def test_repeated_eigenvalues_allowed(self):
         obs = spectral_decompose(HermitianMatrix(np.diag([1.0, 1.0, 2.0])))
         assert np.allclose(obs.eigenvalues, [1.0, 1.0, 2.0])
+        # a diagonal matrix keeps tied basis states in basis order
+        obs = spectral_decompose(HermitianMatrix(np.diag([2.0, 1.0, 0.0, 1.0])))
+        assert np.array_equal(obs.eigenvalues, [0.0, 1.0, 1.0, 2.0])
+        assert np.array_equal(obs.eigenvectors, np.eye(4)[:, [2, 1, 3, 0]])
+
+    def test_eigh_failure_is_convergence_error(self, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError):
+            spectral_decompose(HermitianMatrix(PAULI_X))
+        # a diagonal matrix never reaches LAPACK
+        assert np.array_equal(spectral_decompose(HermitianMatrix(PAULI_Z)).eigenvalues,
+                              [-1.0, 1.0])

@@ -10,7 +10,6 @@ from wmpath import (
     StateVector,
     TransitionSpec,
     ZeroNorm,
-    exact_mean_momentum,
     exact_mean_position,
     path_amplitudes,
     pointer_momentum_amplitude,
@@ -123,7 +122,7 @@ class TestExactMeans:
         amps = PathAmplitudeSet(moduli * phase)
         values = np.array([-1.5, -0.5, 0.5, 1.5])
         for delta_f in (1e-3, 0.1, 1.0, 10.0, 1e3):
-            readout = exact_mean_momentum(amps, values, GaussianPointer(delta_f))
+            readout = exact_mean_position(amps, values, GaussianPointer(delta_f))
             assert abs(readout.mean_lambda) < 1e-12
 
     def test_complex_pair_momentum_reading(self):
@@ -131,7 +130,7 @@ class TestExactMeans:
         # <lambda> delta_f^2 / 2 -> 1 as delta_f grows
         amps = spin100_amplitudes(b=1j)
         delta_f = 100.0
-        readout = exact_mean_momentum(amps, SIGMA_Z_VALUES, GaussianPointer(delta_f))
+        readout = exact_mean_position(amps, SIGMA_Z_VALUES, GaussianPointer(delta_f))
         alpha = amps.amplitudes / amps.total
         target = np.sum(SIGMA_Z_VALUES * alpha.imag)
         assert target == pytest.approx(1.0, abs=1e-14)

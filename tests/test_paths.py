@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import wmpath.paths
 from wmpath import (
     EigenvaluePartition,
+    GaussianPointer,
     HermitianMatrix,
     Observable,
     OrthogonalPostselection,
@@ -11,6 +13,7 @@ from wmpath import (
     TransitionSpec,
     ZeroTransmission,
     evolve,
+    exact_mean_position,
     group,
     path_amplitudes,
     relative_amplitudes,
@@ -95,6 +98,18 @@ class TestPathAmplitudes:
         u_phi = evolve(spec.phi, spec.hamiltonian, -half).amplitudes
         manual = (basis.conj().T @ u_phi).conj() * (basis.conj().T @ u_psi)
         assert np.abs(amps.amplitudes - manual).max() < 1e-12
+
+
+    def test_hamiltonian_decomposed_once(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        spec = random_transition(rng, 3)
+        calls = []
+        original = wmpath.paths.spectral_decompose
+        monkeypatch.setattr(wmpath.paths, "spectral_decompose",
+                            lambda m: calls.append(m) or original(m))
+        path_amplitudes(spec)
+        weak_value_from_matrix(spec, spec.observable.matrix())
+        assert calls == [spec.hamiltonian, spec.hamiltonian]
 
 
 class TestRelativeAmplitudes:
@@ -279,3 +294,35 @@ class TestWeakValue:
         rebuilt = strong_probabilities(PathAmplitudeSet(
             [amps.amplitudes[list(g)].sum() for g in partition.groups]))
         assert np.abs(direct.omegas - rebuilt.omegas).max() < 1e-12
+
+
+class TestDegenerateEigenspace:
+    def test_rotation_inside_a_block_changes_nothing(self):
+        # eigh picks an arbitrary basis inside a degenerate eigenspace; every
+        # reading must be blind to that choice
+        rng = np.random.default_rng(18)
+        values = np.array([-1.0, 0.5, 0.5, 0.5, 2.0])
+        q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        obs = Observable.from_matrix((q * values) @ q.conj().T)
+        w, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        vecs = obs.eigenvectors.copy()
+        vecs[:, 1:4] = vecs[:, 1:4] @ w
+        rotated = Observable(obs.eigenvalues, vecs)
+        partition = EigenvaluePartition.from_observable(obs)
+        assert partition.groups == ((0,), (1, 2, 3), (4,))
+        transition = random_transition(rng, 5)
+
+        def readings(observable):
+            amps = path_amplitudes(transition.with_observable(observable))
+            grouped = group(amps, partition)
+            out = [*grouped.amplitudes, *strong_probabilities(grouped).omegas,
+                   weak_value(observable, relative_amplitudes(amps))]
+            for delta_f in (0.3, 1.0, 10.0):
+                readout = exact_mean_position(amps, observable,
+                                              GaussianPointer(delta_f))
+                out += [readout.mean_f, readout.mean_lambda, readout.norm]
+            return np.array(out)
+
+        before, after = readings(obs), readings(rotated)
+        assert np.abs(vecs - obs.eigenvectors).max() > 0.1  # a real rotation
+        assert np.abs(after - before).max() < 1e-12

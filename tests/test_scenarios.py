@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wmpath import GaussianPointer, exact_mean_momentum, path_amplitudes
+from wmpath import GaussianPointer, exact_mean_position, path_amplitudes
 from wmpath.cli import main
 from wmpath.errors import ConfigError
 from wmpath.scenarios import SCENARIO_NAMES, get_scenario
@@ -25,7 +25,7 @@ class TestScenarioLibrary:
             observable = scenario.observable(name)
             amps = path_amplitudes(scenario.transition.with_observable(observable))
             for delta_f in (0.05, 1.0, 30.0):
-                readout = exact_mean_momentum(amps, observable,
+                readout = exact_mean_position(amps, observable,
                                               GaussianPointer(delta_f))
                 assert abs(readout.mean_lambda) < 1e-12
 
