@@ -210,16 +210,22 @@ def _half_steps(spec: TransitionSpec) -> tuple[np.ndarray, np.ndarray]:
             evolve(spec.psi, h, half).amplitudes)
 
 
+def _project(half_steps: tuple[np.ndarray, np.ndarray],
+             observable: Observable) -> PathAmplitudeSet:
+    """A_i from the two half-step states, in ``observable``'s eigenbasis."""
+    u_phi, u_psi = half_steps
+    basis = observable.eigenvectors
+    left = basis.conj().T @ u_phi     # <i|U(-T/2)|phi>
+    right = basis.conj().T @ u_psi    # <i|U(T/2)|psi>
+    return PathAmplitudeSet(left.conj() * right)
+
+
 def path_amplitudes(spec: TransitionSpec) -> PathAmplitudeSet:
     """Amplitudes A_i of the N virtual paths, one per eigenstate of the
     observable, with the evolution applied in two half-steps around T/2."""
     if spec.observable is None:
         raise ValueError("TransitionSpec needs an observable to define paths")
-    u_phi, u_psi = _half_steps(spec)
-    basis = spec.observable.eigenvectors
-    left = basis.conj().T @ u_phi     # <i|U(-T/2)|phi>
-    right = basis.conj().T @ u_psi    # <i|U(T/2)|psi>
-    return PathAmplitudeSet(left.conj() * right)
+    return _project(_half_steps(spec), spec.observable)
 
 
 def relative_amplitudes(a: PathAmplitudeSet,

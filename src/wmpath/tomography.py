@@ -29,7 +29,8 @@ from .paths import (
     RelativeAmplitudeSet,
     StrongStatistics,
     TransitionSpec,
-    path_amplitudes,
+    _half_steps,
+    _project,
     relative_amplitudes,
 )
 
@@ -139,11 +140,11 @@ def joint_weak_means(spec: TransitionSpec, battery: MeterBattery) -> JointReadou
     """
     if battery.dimension != spec.dimension:
         raise ValueError("battery dimension does not match the transition")
+    half_steps = _half_steps(spec)  # one decomposition of H per battery
     means_f = []
     means_l = []
     for op in battery.operators:
-        amps = path_amplitudes(spec.with_observable(op))
-        alphas = relative_amplitudes(amps)
+        alphas = relative_amplitudes(_project(half_steps, op))
         readout = weak_asymptotics(alphas, op, battery.pointer)
         means_f.append(readout.mean_f)
         means_l.append(readout.mean_lambda)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import wmpath.paths
 from wmpath import (
     AllZeroAmplitudes,
     GaussianPointer,
@@ -51,6 +52,23 @@ class TestJointWeakMeans:
                                  spec.observable, pointer)
         assert joint.mean_f[0] == pytest.approx(alone.mean_f, abs=1e-14)
         assert joint.mean_lambda[0] == pytest.approx(alone.mean_lambda, abs=1e-14)
+
+    def test_hamiltonian_decomposed_once_per_battery(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        spec = random_transition(rng, 6)
+        battery = projector_battery(spec.observable, GaussianPointer(7.0))
+        calls = []
+        original = wmpath.paths.spectral_decompose
+        monkeypatch.setattr(wmpath.paths, "spectral_decompose",
+                            lambda m: calls.append(m) or original(m))
+        joint = joint_weak_means(spec, battery)
+        assert calls == [spec.hamiltonian]
+        for j, op in enumerate(battery.operators):
+            alone = weak_asymptotics(
+                relative_amplitudes(path_amplitudes(spec.with_observable(op))),
+                op, battery.pointer)
+            assert joint.mean_f[j] == alone.mean_f
+            assert joint.mean_lambda[j] == alone.mean_lambda
 
     def test_cheshire_battery(self):
         scenario = get_scenario("cheshire")

@@ -15,6 +15,7 @@ from wmpath import (
     weak_shift,
 )
 from wmpath.errors import GridError
+from wmpath.tunneling import _chirp_z
 
 OPAQUE = BarrierSpec(height=1.0, width=10.0, mass=1.0)
 FREE = BarrierSpec(height=0.0, width=10.0, mass=1.0)
@@ -48,6 +49,15 @@ class TestTransmissionAmplitude:
         ratio = np.log(t10 / t12)
         assert ratio == pytest.approx(2.0 * q, rel=1e-3)
 
+    @pytest.mark.parametrize("width", [10.0, 100.0, 700.0])
+    def test_opaque_barrier_stays_finite_and_unitary(self, width):
+        # cosh(qd) overflows near qd = 710; the scaled form never builds it
+        b = BarrierSpec(height=1.0, width=width, mass=1.0)
+        t = transmission_amplitude(b, P)
+        r = reflection_amplitude(b, P)
+        assert np.isfinite(t) and np.isfinite(r)
+        assert abs(t) ** 2 + abs(r) ** 2 == pytest.approx(1.0, abs=1e-10)
+
     def test_conjugate_symmetry(self):
         k = np.array([0.3, 0.9, 1.7])
         plus = transmission_amplitude(OPAQUE, k)
@@ -70,6 +80,28 @@ class TestShiftAmplitudes:
         dist = shift_amplitudes(OPAQUE, P)
         target = np.sqrt(2.0 * np.pi) * transmission_amplitude(OPAQUE, P)
         assert abs(dist.total - target) < 1e-6 * abs(target)
+
+    @pytest.mark.parametrize("width", [2.0, 12.0])
+    def test_default_grid_keeps_the_leakage_of_the_full_grid(self, width):
+        b = BarrierSpec(height=1.0, width=width, mass=1.0)
+        sized = shift_amplitudes(b, P)
+        full = shift_amplitudes(b, P, ShiftGrid(x_max_absolute=6000.0,
+                                                nodes=1 << 21))
+        assert sized.leakage == pytest.approx(full.leakage, rel=0.02)
+        assert sized.step == pytest.approx(full.step, rel=0.01)
+        target = np.sqrt(2.0 * np.pi) * transmission_amplitude(b, P)
+        assert abs(sized.total - target) < 1e-6 * abs(target)
+
+    def test_default_grid_is_sized_from_the_barrier(self):
+        narrow = shift_amplitudes(BarrierSpec(1.0, 2.0), P)
+        assert narrow.x_grid.size <= 1 << 18
+        assert shift_amplitudes(OPAQUE, P).x_grid.size < 1 << 21
+        # once 16 tail lengths pass 6000 the default is the full grid itself
+        wide = BarrierSpec(1.0, 16.0)
+        sized = shift_amplitudes(wide, 1.3)
+        full = shift_amplitudes(wide, 1.3, ShiftGrid(x_max_absolute=6000.0,
+                                                     nodes=1 << 21))
+        assert np.array_equal(sized.amplitudes, full.amplitudes)
 
     def test_support_on_nonnegative_shifts(self):
         # no poles in the upper half k-plane: nothing outruns instantaneous
@@ -149,6 +181,22 @@ class TestPhaseDerivative:
         dlog = derivative / t0
         assert phase_derivative(OPAQUE, P) == pytest.approx(dlog.imag, rel=1e-6)
         assert log_modulus_derivative(OPAQUE, P) == pytest.approx(dlog.real, rel=1e-6)
+
+
+class TestChirpZ:
+    @pytest.mark.parametrize("k_range, y_range, n_k, n_y", [
+        ((-0.3, 1.7), (5.0, 40.0), 517, 300),      # neither grid symmetric
+        ((-0.064, 0.064), (-4000.0, 4000.0), 211, 1023),
+        ((2.0, 2.5), (-3.0, -1.0), 7, 129),
+    ])
+    def test_matches_dense_double_sum(self, k_range, y_range, n_k, n_y):
+        rng = np.random.default_rng(n_k + n_y)
+        k = np.linspace(*k_range, n_k)
+        y = np.linspace(*y_range, n_y)
+        values = rng.normal(size=n_k) + 1j * rng.normal(size=n_k)
+        dense = np.exp(1j * np.outer(y, k)) @ values
+        fast = _chirp_z(values, k, y)
+        assert np.abs(fast - dense).max() < 1e-10 * np.abs(dense).max()
 
 
 class TestSimulation:
