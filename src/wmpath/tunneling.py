@@ -26,8 +26,8 @@ The mean momentum grows because higher momenta tunnel more easily:
 
     delta_k = 2 <k^2>_G  d log|T| / dp,   <k^2>_G = 1 / delta_x_packet^2.
 
-The full dispersive wave-packet simulation is kept as an oracle for both
-shifts.
+Both are the Im and Re parts of one closed-form d log T/dp.  The full
+dispersive wave-packet simulation is kept as an oracle for both shifts.
 """
 
 from __future__ import annotations
@@ -109,14 +109,18 @@ def _scaled_denominator(b: BarrierSpec, k: np.ndarray):
     m = (i/2)(q/k - k/q) = i (mu V - k^2) / (q k), both amplitudes divide by
     cosh(qd) + m sinh(qd) = (e^{qd}/2) D,  D = (1 + m) + (1 - m) e^{-2qd}.
     Returns ``(q, e^{-qd}, D)``; every factor stays bounded, so an opaque
-    barrier underflows T towards 0 instead of overflowing cosh to nan.
+    barrier underflows T towards 0 instead of overflowing cosh to nan.  At
+    q = 0, where m is infinite, D takes its limit 2 - 2 i mu V d / k.
     """
     k_sq = k * k
     q = np.sqrt((2.0 * b.mass * b.height - k_sq).astype(complex))
     decay = np.exp(-q * b.width)
     decay_sq = decay * decay
     mismatch = 1j * (b.mass * b.height - k_sq) / (q * k)
-    return q, decay, (1.0 + decay_sq) + mismatch * (1.0 - decay_sq)
+    denom = (1.0 + decay_sq) + mismatch * (1.0 - decay_sq)
+    edge = k_sq == 2.0 * b.mass * b.height  # q == 0, compared in reals
+    denom[edge] = 2.0 - 2j * b.mass * b.height * b.width / k[edge]
+    return q, decay, denom
 
 
 def transmission_amplitude(b: BarrierSpec, k):
@@ -145,8 +149,8 @@ def transmission_amplitude(b: BarrierSpec, k):
 def reflection_amplitude(b: BarrierSpec, k):
     """Exact reflection amplitude R(k); |T|^2 + |R|^2 = 1 on the real axis.
 
-    Scaled form: R = pileup (1 - e^{-2qd}) / D, with
-    pileup = -(i/2)(q/k + k/q) = -i mu V / (q k).
+    Scaled form: R = pileup (1 - e^{-2qd}) / D, pileup = -i mu V / (q k)
+    = -(i/2)(q/k + k/q); the numerator is -2 i mu V d / k at q = 0.
     """
     k_arr = np.asarray(k, dtype=float)
     scalar = k_arr.ndim == 0
@@ -157,7 +161,10 @@ def reflection_amplitude(b: BarrierSpec, k):
         with np.errstate(divide="ignore", invalid="ignore"):
             q, decay, denom = _scaled_denominator(b, k_arr)
             pileup = -1j * b.mass * b.height / (q * k_arr)
-            out = pileup * (1.0 - decay * decay) / denom
+            out = pileup * (1.0 - decay * decay)
+            edge = q == 0
+            out[edge] = -2j * b.mass * b.height * b.width / k_arr[edge]
+            out /= denom
         out = np.where(k_arr == 0, -1.0 + 0.0j, out)
     return complex(out[0]) if scalar else out
 
@@ -233,8 +240,8 @@ def _synthesize(b: BarrierSpec, p: float, x_lo: float, x_hi: float,
     The box length is nudged so the mean momentum p sits exactly on the
     reciprocal lattice, which makes the discrete sum rule
     sum_j A_j dx = sqrt(2 pi) W(p) T(p) an identity rather than an
-    approximation.  (T - 1) is tapered to zero at the lattice edge so the
-    implicit periodization of the spectrum has no seam.
+    approximation.  The spectrum is W T; with no window, (T - 1) is instead
+    tapered to zero at the lattice edge so the periodization has no seam.
     """
     span = x_hi - x_lo
     cycles = max(1, round(p * span / (2.0 * np.pi)))
@@ -244,15 +251,15 @@ def _synthesize(b: BarrierSpec, p: float, x_lo: float, x_hi: float,
     x = (np.arange(nodes) - j_zero) * dx
 
     k = 2.0 * np.pi * np.fft.fftfreq(nodes, d=dx)
-    k_edge = np.pi / dx
     # T(-k) = conj T(k): evaluate on k >= 0 (Nyquist included), mirror the rest
     half = nodes // 2
     t_half = transmission_amplitude(b, np.abs(k[:half + 1]))
     t_k = np.concatenate((t_half[:half], t_half[half:0:-1].conj()))
-    taper = np.exp(-((np.abs(k) / (0.85 * k_edge)) ** 24))
-    spectrum = 1.0 + (t_k - 1.0) * taper
-    if window_width is not None:
-        spectrum = spectrum * np.exp(-0.25 * ((k - p) * window_width) ** 2)
+    if window_width is None:
+        taper = np.exp(-((np.abs(k) / (0.85 * (np.pi / dx))) ** 24))
+        spectrum = 1.0 + (t_k - 1.0) * taper
+    else:
+        spectrum = t_k * np.exp(-0.25 * ((k - p) * window_width) ** 2)
 
     # p is lattice frequency `cycles` and x[0] is -j_zero steps, so the
     # factors e^{ipx} and e^{-ik x[0]} are exact index rolls of the arrays
@@ -302,7 +309,7 @@ def shift_amplitudes(b: BarrierSpec, p: float,
 
     total = complex(a.sum() * dx)
     target = np.sqrt(2.0 * np.pi) * transmission_amplitude(b, p)
-    if abs(total - target) > 1e-6 * abs(target):
+    if not abs(total - target) <= 1e-6 * abs(target):
         raise GridError(
             f"shift-amplitude sum rule violated: {total} vs {target}; "
             "grid inadequate")
@@ -312,64 +319,59 @@ def shift_amplitudes(b: BarrierSpec, p: float,
                              total=total, leakage=leakage)
 
 
-def _stencil_derivative(func, p: float, step: float) -> float:
-    """Five-point central first derivative with phase-jump guarding."""
-    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    values = np.array([func(p + o * step) for o in offsets])
-    if np.abs(np.diff(values)).max() > np.pi:
-        raise GridError(
-            f"value jump exceeds pi across the stencil at step {step:.3e}; "
-            "refine the step")
-    return float((-values[4] + 8.0 * values[3]
-                  - 8.0 * values[1] + values[0]) / (12.0 * step))
+def _log_derivative(b: BarrierSpec, p: float) -> complex:
+    """Closed-form d log T / dp at p > 0 (0 when V = 0).
 
-
-def _converged_derivative(func, p: float) -> float:
-    """Halve the stencil step until two successive estimates agree to 0.1%."""
-    step = 1e-4 * p
-    previous = _stencil_derivative(func, p, step)
-    for _ in range(12):
-        step *= 0.5
-        current = _stencil_derivative(func, p, step)
-        if abs(current - previous) <= 1e-3 * max(abs(current), 1e-300):
-            return current
-        previous = current
-    raise GridError("phase-derivative refinement failed to settle at 0.1%")
+    T = e^{-ikd} e^{-qd} / (c + i g s), g = mu V / k - k,
+    c = (1 + e^{-2qd}) / 2, s = (1 - e^{-2qd}) / (2q).  With dq/dk = -k/q,
+        d log T / dk = -id - [-d k s + i g' s - i g k w] / (c + i g s),
+    w = (d c - s) / q^2, in which the two 1/q divergences of
+    -qd - log(c + i g s) have cancelled.  Near q = 0, s and w come from the
+    series of e^{-x} sinh(x)/x and e^{-x} (cosh x - sinh(x)/x)/x^2, x = qd.
+    """
+    if p <= 0:
+        raise ValueError("mean momentum must be positive")
+    if b.height == 0.0:
+        return 0j
+    d, mu_v = b.width, b.mass * b.height
+    q = np.sqrt(complex(2.0 * mu_v - p * p))
+    qd = q * d
+    decay_sq = np.exp(-2.0 * qd)
+    c = 0.5 * (1.0 + decay_sq)
+    if abs(qd) < 1e-2:
+        x_sq = qd * qd
+        s = np.exp(-qd) * d * (1.0 + x_sq / 6.0 + x_sq * x_sq / 120.0)
+        w = np.exp(-qd) * d ** 3 * (1.0 / 3.0 + x_sq / 30.0 + x_sq * x_sq / 840.0)
+    else:
+        s = (1.0 - decay_sq) / (2.0 * q)
+        w = (d * c - s) / (q * q)
+    g = mu_v / p - p
+    g_prime = -mu_v / (p * p) - 1.0
+    numer = -d * p * s + 1j * g_prime * s - 1j * g * p * w
+    return complex(-1j * d - numer / (c + 1j * g * s))
 
 
 def phase_derivative(b: BarrierSpec, p: float) -> float:
-    """dPhi/dp of T(p) = |T| e^{i Phi}, by adaptive central differences.
-
-    Phases are unwrapped against the central value before differencing.
-    """
-    center = np.angle(transmission_amplitude(b, p))
-
-    def unwrapped_phase(k: float) -> float:
-        raw = np.angle(transmission_amplitude(b, k))
-        return raw - 2.0 * np.pi * np.round((raw - center) / (2.0 * np.pi))
-
-    return _converged_derivative(unwrapped_phase, p)
+    """dPhi/dp of T(p) = |T| e^{i Phi}; saturates at -d + 2/q (Hartman)."""
+    return _log_derivative(b, p).imag
 
 
 def log_modulus_derivative(b: BarrierSpec, p: float) -> float:
-    """d log|T(p)| / dp by the same adaptive stencil."""
-    return _converged_derivative(
-        lambda k: float(np.log(abs(transmission_amplitude(b, k)))), p)
+    """d log|T(p)| / dp, the Re part of d log T/dp."""
+    return _log_derivative(b, p).real
 
 
-def weak_shift(b: BarrierSpec, p: float,
-               probe_width: float | None = None,
-               grid_nodes: int = 1 << 17) -> tuple[float, float]:
+def weak_shift(b: BarrierSpec, p: float) -> tuple[float, float]:
     """Mean envelope delay delta_x, computed two independent ways.
 
     Returns ``(from_integral, from_phase)``:
 
-    * ``from_integral`` is integral x Re alpha(x) dx, evaluated on the
-      shift distribution as probed by a broad Gaussian momentum window
+    * ``from_integral`` is integral x Re alpha(x) dx on the shift
+      distribution of the spectrum W T, W a broad Gaussian momentum window
       centred at p.  The window is flat at p (W(p) = 1, W'(p) = 0), which
       leaves both the sum rule and this first moment exactly unchanged
       while taming the slow bare tails that no finite grid could hold.
-    * ``from_phase`` is dPhi/dp by adaptive finite differences.
+    * ``from_phase`` is the closed-form dPhi/dp (:func:`phase_derivative`).
 
     Negative values mean the transmitted envelope *leads* free propagation
     (it is ahead by -delta_x): for an opaque barrier delta_x ~ -d although
@@ -380,25 +382,22 @@ def weak_shift(b: BarrierSpec, p: float,
     if b.height > 0 and b.energy(p) >= b.height:
         raise ValueError("weak delay analysis requires a sub-barrier momentum")
     t_p = transmission_amplitude(b, p)
-    if t_p == 0:
-        raise ValueError("transmission vanishes at this momentum")
+    if abs(t_p) < np.finfo(float).tiny:  # subnormal T has lost its digits
+        raise ValueError("transmission underflows at this momentum")
 
-    if probe_width is None:
-        # window must die out well inside (0, threshold); a few barrier
-        # widths is comfortably enough for any sub-barrier p
-        gap = min(p, b.threshold_momentum - p) if b.height > 0 else p
-        probe_width = max(16.0 / gap, 4.0 * b.width)
+    # window must die out well inside (0, threshold); a few barrier
+    # widths is comfortably enough for any sub-barrier p
+    gap = min(p, b.threshold_momentum - p) if b.height > 0 else p
+    probe_width = max(16.0 / gap, 4.0 * b.width)
     x_lo = -12.0 * probe_width
     x_hi = 12.0 * probe_width + 12.0 * b.width
-    x, a, dx = _synthesize(b, p, x_lo, x_hi, grid_nodes, window_width=probe_width)
+    x, a, dx = _synthesize(b, p, x_lo, x_hi, 1 << 17, window_width=probe_width)
     total = complex(a.sum() * dx)
     target = np.sqrt(2.0 * np.pi) * t_p
-    if abs(total - target) > 1e-6 * abs(target):
+    if not abs(total - target) <= 1e-6 * abs(target):
         raise GridError("windowed sum rule violated; probe grid inadequate")
     from_integral = float((complex(np.sum(x * a)) * dx / total).real)
-
-    from_phase = phase_derivative(b, p)
-    return from_integral, from_phase
+    return from_integral, phase_derivative(b, p)
 
 
 def momentum_shift(b: BarrierSpec, packet: PacketSpec) -> float:

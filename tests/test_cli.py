@@ -251,6 +251,15 @@ class TestTunnel:
         assert abs(row["oracle_dx"] - row["delta_x_phase"]) \
             < 0.05 * abs(row["delta_x_phase"])
 
+    def test_threshold_on_the_shift_lattice_stays_finite(self, capsys):
+        # p = k_th / 2 = sqrt(0.1) / 2 puts k_th on the FFT grids' lattice
+        code, out, err = run_cli(capsys, "tunnel", "--barrier-height", "0.05",
+                                 "--barrier-width", "4", "--momentum",
+                                 "0.15811388300841897", "--no-header-meta")
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert all(np.isfinite(value) for value in rows[0].values())
+
     def test_above_barrier_momentum_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "tunnel", "--momentum", "5.0")
         assert code == 2

@@ -14,6 +14,7 @@ from wmpath import (
     transmission_amplitude,
     weak_shift,
 )
+from wmpath import tunneling
 from wmpath.errors import GridError
 from wmpath.tunneling import _chirp_z
 
@@ -57,6 +58,18 @@ class TestTransmissionAmplitude:
         r = reflection_amplitude(b, P)
         assert np.isfinite(t) and np.isfinite(r)
         assert abs(t) ** 2 + abs(r) ** 2 == pytest.approx(1.0, abs=1e-10)
+
+    def test_continuous_at_threshold(self):
+        # q = 0 exactly: m is infinite, yet T and R have finite limits
+        b = BarrierSpec(height=0.05, width=4.0, mass=1.0)
+        k_th = b.threshold_momentum
+        for amplitude in (transmission_amplitude, reflection_amplitude):
+            at = amplitude(b, k_th)
+            assert np.isfinite(at)
+            for side in (1.0 - 1e-9, 1.0 + 1e-9):
+                assert abs(at - amplitude(b, k_th * side)) < 1e-8
+        grid = transmission_amplitude(b, np.array([0.5, 1.0, 2.0]) * k_th)
+        assert np.isfinite(grid).all()
 
     def test_conjugate_symmetry(self):
         k = np.array([0.3, 0.9, 1.7])
@@ -109,6 +122,18 @@ class TestShiftAmplitudes:
         dist = shift_amplitudes(OPAQUE, P)
         assert dist.leakage < 1e-3
 
+    def test_nan_total_violates_the_sum_rule(self, monkeypatch):
+        def poisoned(*args, **kwargs):
+            x, a, dx = synthesize(*args, **kwargs)
+            return x, np.full_like(a, np.nan), dx
+
+        synthesize = tunneling._synthesize
+        monkeypatch.setattr(tunneling, "_synthesize", poisoned)
+        with pytest.raises(GridError):
+            shift_amplitudes(OPAQUE, P, ShiftGrid(nodes=1 << 14))
+        with pytest.raises(GridError):
+            weak_shift(OPAQUE, P)
+
     def test_rejects_undersized_grid(self):
         with pytest.raises(GridError):
             ShiftGrid(nodes=1 << 10)
@@ -145,9 +170,21 @@ class TestWeakShift:
         assert dist.leakage < 1e-3      # support numerically confined to x >= 0
         assert from_phase < 0.0         # yet the mean shift is negative
 
+    @pytest.mark.parametrize("width", [25.0, 200.0])
+    def test_routes_agree_past_the_rounding_of_t(self, width):
+        # |T| = 4e-13 and 9e-102: a spectrum W (1 + (T - 1) taper) loses T
+        from_integral, from_phase = weak_shift(BarrierSpec(1.0, width), P)
+        assert np.isfinite(from_integral) and np.isfinite(from_phase)
+        assert from_integral == pytest.approx(from_phase, rel=1e-6)
+
     def test_rejects_above_barrier_momentum(self):
         with pytest.raises(ValueError):
             weak_shift(OPAQUE, 2.0)
+
+    def test_rejects_underflowing_transmission(self):
+        # |T| = 2e-314 is subnormal: the integral route would drift by 2e-8
+        with pytest.raises(ValueError):
+            weak_shift(BarrierSpec(1.0, 620.0), P)
 
 
 class TestMomentumShift:
@@ -165,22 +202,63 @@ class TestMomentumShift:
         dk400 = momentum_shift(OPAQUE, PacketSpec(P, 400.0))
         assert dk200 * 200.0 ** 2 == pytest.approx(dk400 * 400.0 ** 2, rel=1e-6)
 
+    def test_finite_for_an_opaque_barrier(self):
+        dk = momentum_shift(BarrierSpec(1.0, 700.0), PacketSpec(P, 500.0))
+        assert np.isfinite(dk) and dk > 0.0
+
     def test_rejects_above_barrier(self):
         with pytest.raises(ValueError):
             momentum_shift(OPAQUE, PacketSpec(1.9, 100.0))
+
+
+def central_difference_log_derivative(b, p):
+    """Dense central difference of the full complex amplitude: T'/T."""
+    h = 1e-6 * p
+    derivative = (transmission_amplitude(b, p + h)
+                  - transmission_amplitude(b, p - h)) / (2 * h)
+    return derivative / transmission_amplitude(b, p)
 
 
 class TestPhaseDerivative:
     def test_against_analytic_log_derivative(self):
         # independent oracle: complex-step-free dense central difference of
         # the full complex amplitude, then Im/Re parts of T'/T
-        h = 1e-6
-        t0 = transmission_amplitude(OPAQUE, P)
-        derivative = (transmission_amplitude(OPAQUE, P + h)
-                      - transmission_amplitude(OPAQUE, P - h)) / (2 * h)
-        dlog = derivative / t0
+        dlog = central_difference_log_derivative(OPAQUE, P)
         assert phase_derivative(OPAQUE, P) == pytest.approx(dlog.imag, rel=1e-6)
         assert log_modulus_derivative(OPAQUE, P) == pytest.approx(dlog.real, rel=1e-6)
+
+    @pytest.mark.parametrize("height, width", [
+        (1.0, 10.0), (1.0, 2.0), (0.05, 4.0), (4.0, 0.3)])
+    @pytest.mark.parametrize("ratio", [0.1, 0.5, 0.9, 1.0, 1.5, 3.0])
+    def test_matches_central_difference(self, height, width, ratio):
+        # below, at and above the threshold p = k_th
+        b = BarrierSpec(height=height, width=width, mass=1.0)
+        p = ratio * b.threshold_momentum
+        dlog = central_difference_log_derivative(b, p)
+        assert phase_derivative(b, p) == pytest.approx(dlog.imag, rel=1e-6)
+        assert log_modulus_derivative(b, p) == pytest.approx(dlog.real, rel=1e-6)
+
+    @pytest.mark.parametrize("qd", [3e-3, 0.99e-2, 1.01e-2])
+    def test_series_and_direct_forms_meet_near_threshold(self, qd):
+        # |qd| < 1e-2 takes the series for s and w, the rest the direct form
+        p = np.sqrt(2.0 - (qd / OPAQUE.width) ** 2)
+        dlog = central_difference_log_derivative(OPAQUE, p)
+        assert phase_derivative(OPAQUE, p) == pytest.approx(dlog.imag, rel=1e-6)
+        assert log_modulus_derivative(OPAQUE, p) == pytest.approx(dlog.real, rel=1e-6)
+
+    @pytest.mark.parametrize("width", [50.0, 200.0, 700.0, 1e4])
+    def test_hartman_saturation(self, width):
+        # opaque limit: delta_x = -d + 2/q, whatever the width
+        q = np.sqrt(2.0 - P * P)
+        shift = phase_derivative(BarrierSpec(1.0, width), P)
+        assert shift + width == pytest.approx(2.0 / q, rel=1e-9)
+
+    def test_log_modulus_slope_grows_as_p_over_q_per_width(self):
+        # log|T| ~ -q d + const, so d log|T|/dp gains d p / q
+        q = np.sqrt(2.0 - P * P)
+        narrow = log_modulus_derivative(BarrierSpec(1.0, 100.0), P)
+        wide = log_modulus_derivative(BarrierSpec(1.0, 200.0), P)
+        assert wide - narrow == pytest.approx(100.0 * P / q, rel=1e-9)
 
 
 class TestChirpZ:
