@@ -394,10 +394,7 @@ def _cmd_tunnel(args):
 
     dist = shift_amplitudes(barrier, momentum)
     dx_integral, dx_phase = weak_shift(barrier, momentum)
-    if height > 0:
-        dk = momentum_shift(barrier, packet)
-    else:
-        dk = 0.0
+    dk = momentum_shift(barrier, packet)
     sim = simulate_transmission(barrier, packet, time)
 
     record = RunRecord(scenario="tunneling", columns=TUNNEL_COLUMNS)

@@ -138,9 +138,6 @@ class Observable:
     def dimension(self) -> int:
         return self.eigenvalues.size
 
-    def eigenstate(self, i: int) -> StateVector:
-        return StateVector(self.eigenvectors[:, i])
-
     def matrix(self) -> np.ndarray:
         """Reassemble sum_i S_i |i><i|."""
         v = self.eigenvectors

@@ -14,7 +14,7 @@ intact and reads out the relative amplitudes alpha_i = A_i / sum(A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,18 +84,13 @@ class PathAmplitudeSet:
     """The N complex path amplitudes A_i together with their sum."""
 
     amplitudes: np.ndarray
-    total: complex = field(default=None)  # type: ignore[assignment]
+    total: complex
 
-    def __init__(self, amplitudes, total=None):
+    def __init__(self, amplitudes):
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         amps.setflags(write=False)
-        computed = complex(amps.sum())
-        if total is None:
-            total = computed
-        elif abs(total - computed) > 1e-12 * max(1.0, abs(computed)):
-            raise ValueError("stated total disagrees with the amplitude sum")
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "total", complex(total))
+        object.__setattr__(self, "total", complex(amps.sum()))
 
     def __len__(self) -> int:
         return self.amplitudes.size
@@ -142,32 +137,32 @@ class EigenvaluePartition:
         return sum(len(g) for g in self.groups)
 
     @classmethod
-    def from_observable(cls, obs: Observable,
-                        tol: float = DEGENERACY_TOL) -> "EigenvaluePartition":
-        """Group indices whose (sorted) eigenvalues are equal within ``tol``.
+    def from_observable(cls, obs: Observable) -> "EigenvaluePartition":
+        """Group indices whose (sorted) eigenvalues are equal within 1e-12.
 
-        Runs of consecutive eigenvalues with gaps <= tol are merged, so the
-        grouping depends only on exact (or near-exact) degeneracy.
+        Runs of consecutive eigenvalues with gaps <= 1e-12 are merged, so
+        the grouping depends only on exact (or near-exact) degeneracy.
         """
         vals = obs.eigenvalues
         groups: list[list[int]] = [[0]]
         for i in range(1, vals.size):
-            if vals[i] - vals[i - 1] <= tol:
+            if vals[i] - vals[i - 1] <= DEGENERACY_TOL:
                 groups[-1].append(i)
             else:
                 groups.append([i])
         values = [float(np.mean(vals[list(g)])) for g in groups]
         return cls(groups, values)
 
-    def validate_against(self, obs: Observable, tol: float = DEGENERACY_TOL):
-        """Check the groups cover 0..N-1 and carry equal eigenvalues."""
+    def validate_against(self, obs: Observable):
+        """Check the groups cover 0..N-1 and carry eigenvalues equal to
+        their stated value within 1e-12."""
         n = obs.dimension
         flat = sorted(i for g in self.groups for i in g)
         if flat != list(range(n)):
             raise ValueError("partition does not cover every path index exactly once")
         for g, val in zip(self.groups, self.group_values):
             ev = obs.eigenvalues[list(g)]
-            if np.abs(ev - val).max() > tol:
+            if np.abs(ev - val).max() > DEGENERACY_TOL:
                 raise ValueError(
                     f"group {g} mixes eigenvalues {ev} (stated value {val})")
 
@@ -177,17 +172,17 @@ class StrongStatistics:
     """Per-route probabilities of a decohering (accurate) measurement."""
 
     omegas: np.ndarray
-    mean: float | None = None
 
-    def __init__(self, omegas, mean=None):
+    def __init__(self, omegas):
         w = np.asarray(omegas, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(w)):
+            raise ValueError("probabilities must be finite")
         if w.min() < -1e-12 or w.max() > 1.0 + 1e-12:
             raise ValueError("probabilities must lie in [0, 1]")
         if abs(w.sum() - 1.0) > 1e-10:
             raise ValueError(f"probabilities sum to {w.sum()}, expected 1")
         w.setflags(write=False)
         object.__setattr__(self, "omegas", w)
-        object.__setattr__(self, "mean", None if mean is None else float(mean))
 
 
 def _eigenvalues_for(obs, count: int) -> np.ndarray:
@@ -228,19 +223,18 @@ def path_amplitudes(spec: TransitionSpec) -> PathAmplitudeSet:
     return _project(_half_steps(spec), spec.observable)
 
 
-def relative_amplitudes(a: PathAmplitudeSet,
-                        threshold: float = ORTHOGONALITY_THRESHOLD
-                        ) -> RelativeAmplitudeSet:
+def relative_amplitudes(a: PathAmplitudeSet) -> RelativeAmplitudeSet:
     """alpha_i = A_i / sum(A).
 
-    Raises OrthogonalPostselection when |sum(A)| <= threshold: the weak
-    values diverge for an (almost) forbidden transition and the caller must
-    decide what to do, rather than receive silently enormous numbers.
+    Raises OrthogonalPostselection when |sum(A)| <= 1e-12: the weak values
+    diverge for an (almost) forbidden transition and the caller must decide
+    what to do, rather than receive silently enormous numbers.
     """
     total = a.total
-    if abs(total) <= threshold:
+    if abs(total) <= ORTHOGONALITY_THRESHOLD:
         raise OrthogonalPostselection(
-            f"|total amplitude| = {abs(total):.3e} <= {threshold:.1e}; "
+            f"|total amplitude| = {abs(total):.3e} <= "
+            f"{ORTHOGONALITY_THRESHOLD:.1e}; "
             "post-selection (nearly) orthogonal; weak values diverge")
     return RelativeAmplitudeSet(a.amplitudes / total)
 
@@ -261,14 +255,28 @@ def group(a: PathAmplitudeSet, p: EigenvaluePartition) -> PathAmplitudeSet:
     return PathAmplitudeSet(grouped)
 
 
+def _normalized_weights(values: np.ndarray) -> StrongStatistics | None:
+    """|v_i|^2 / sum_j |v_j|^2, or None when every v_i is zero.
+
+    The moduli are divided by max |v| before squaring, as StateVector does,
+    so no square overflows to inf or underflows to zero.
+    """
+    moduli = np.abs(values)
+    peak = moduli.max()
+    if peak == 0.0:
+        return None
+    moduli /= peak
+    weights = moduli * moduli
+    return StrongStatistics(weights / weights.sum())
+
+
 def strong_probabilities(a: PathAmplitudeSet) -> StrongStatistics:
     """Route probabilities omega_i = |A_i|^2 / sum |A_j|^2."""
-    weights = np.abs(a.amplitudes) ** 2
-    total = weights.sum()
-    if total <= 0.0:
+    stats = _normalized_weights(a.amplitudes)
+    if stats is None:
         raise ZeroTransmission(
             "all path amplitudes vanish; post-selection unreachable")
-    return StrongStatistics(weights / total)
+    return stats
 
 
 def strong_mean(values, w: StrongStatistics) -> float:

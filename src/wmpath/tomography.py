@@ -30,6 +30,7 @@ from .paths import (
     StrongStatistics,
     TransitionSpec,
     _half_steps,
+    _normalized_weights,
     _project,
     relative_amplitudes,
 )
@@ -83,9 +84,8 @@ class JointReadout:
 
     mean_f: np.ndarray
     mean_lambda: np.ndarray
-    first_order: bool = True
 
-    def __init__(self, mean_f, mean_lambda, first_order=True):
+    def __init__(self, mean_f, mean_lambda):
         mf = np.asarray(mean_f, dtype=float).reshape(-1)
         ml = np.asarray(mean_lambda, dtype=float).reshape(-1)
         if mf.size != ml.size:
@@ -96,7 +96,6 @@ class JointReadout:
         ml.setflags(write=False)
         object.__setattr__(self, "mean_f", mf)
         object.__setattr__(self, "mean_lambda", ml)
-        object.__setattr__(self, "first_order", bool(first_order))
 
     @property
     def size(self) -> int:
@@ -117,8 +116,6 @@ def projector_battery(basis: Observable, pointer: GaussianPointer) -> MeterBatte
     n = basis.dimension
     ops = []
     for i in range(n):
-        values = np.zeros(n)
-        values[i] = 1.0
         # projector spectrum is (0,...,0,1); keep the basis vectors but
         # reorder so eigenvalues are ascending with |i> last
         order = [j for j in range(n) if j != i] + [i]
@@ -148,7 +145,14 @@ def joint_weak_means(spec: TransitionSpec, battery: MeterBattery) -> JointReadou
         readout = weak_asymptotics(alphas, op, battery.pointer)
         means_f.append(readout.mean_f)
         means_l.append(readout.mean_lambda)
-    return JointReadout(means_f, means_l, first_order=True)
+    return JointReadout(means_f, means_l)
+
+
+def _weak_values(readout: JointReadout,
+                 pointer: GaussianPointer) -> np.ndarray:
+    """f_j + i (delta_f^2 / 2) Lambda_j: each meter's weak value
+    sum_i S^(j)_i alpha^(j)_i, read back from its two mean readings."""
+    return readout.mean_f + 0.5j * pointer.delta_f ** 2 * readout.mean_lambda
 
 
 def reconstruct_alphas(readout: JointReadout,
@@ -156,9 +160,11 @@ def reconstruct_alphas(readout: JointReadout,
     """Invert projector readouts: alpha_i = f_i + i (delta_f^2 / 2) Lambda_i.
 
     ``readout`` must hold the mean positions/momenta of the N projector
-    meters of a single orthonormal basis, in basis order.
+    meters of a single orthonormal basis, in basis order.  A projector's
+    weak value is its alpha_i, so this is the S = I case of
+    :func:`reconstruct_from_operator_family`.
     """
-    alphas = readout.mean_f + 0.5j * pointer.delta_f ** 2 * readout.mean_lambda
+    alphas = _weak_values(readout, pointer)
     total = alphas.sum()
     if abs(total.real - 1.0) > READOUT_SUM_TOL or abs(total.imag) > READOUT_SUM_TOL:
         raise InconsistentReadout(
@@ -172,11 +178,12 @@ def reconstruct_from_operator_family(readouts: JointReadout,
     """Recover all relative amplitudes from N co-diagonal operators.
 
     The family's operators must be diagonal in one common basis with an
-    invertible eigenvalue matrix S[j, i]; the 2N mean readings then fix
-    Re(alpha) and Im(alpha) through two N x N linear solves.  ``basis``
-    (an Observable or a unitary column matrix) pins the ordering of the
-    recovered amplitudes; when omitted it is taken from the family member
-    with the most distinct eigenvalues, whose eigenbasis is least arbitrary.
+    invertible eigenvalue matrix S[j, i]; the 2N mean readings then give
+    the N weak values S alpha, and one N x N complex solve gives alpha.
+    ``basis`` (an Observable or a unitary column matrix) pins the ordering
+    of the recovered amplitudes; when omitted it is taken from the family
+    member with the most distinct eigenvalues, whose eigenbasis is least
+    arbitrary.
     """
     n = family.dimension
     if family.size != n:
@@ -208,10 +215,9 @@ def reconstruct_from_operator_family(readouts: JointReadout,
         raise SingularFamily(
             f"eigenvalue matrix condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
 
-    re_alpha = np.linalg.solve(s_matrix, readouts.mean_f)
-    im_alpha = np.linalg.solve(
-        s_matrix, 0.5 * family.pointer.delta_f ** 2 * readouts.mean_lambda)
-    alphas = RelativeAmplitudeSet(re_alpha + 1j * im_alpha, tol=1e-8 * cond)
+    alphas = RelativeAmplitudeSet(
+        np.linalg.solve(s_matrix, _weak_values(readouts, family.pointer)),
+        tol=1e-8 * cond)
     return ReconstructionResult(alphas=alphas,
                                 predicted_omegas=predict_strong(alphas),
                                 condition_number=cond)
@@ -220,28 +226,16 @@ def reconstruct_from_operator_family(readouts: JointReadout,
 def predict_strong(r: RelativeAmplitudeSet) -> StrongStatistics:
     """Strong-measurement probabilities predicted from weak data.
 
-    Solves the linear system built from the ratios
-    nu_i = omega_i / omega_ref = |alpha_i|^2 / |alpha_ref|^2 for the
-    non-reference probabilities and closes with omega_ref = 1 - sum(rest).
-    The reference is the largest-|alpha| path, which keeps the system well
-    conditioned; paths with alpha_i = 0 are never travelled (omega_i = 0)
-    and drop out of the system.
+    The ratios omega_i / omega_j = |alpha_i|^2 / |alpha_j|^2 and
+    sum(omega) = 1 fix omega_i = |alpha_i|^2 / sum_j |alpha_j|^2, the same
+    normalisation :func:`strong_probabilities` applies to the A_i, since
+    alpha is proportional to A.  Paths with alpha_i = 0 are never travelled
+    (omega_i = 0).
     """
-    weights = np.abs(r.alphas) ** 2
-    if weights.max() <= 0.0:
+    stats = _normalized_weights(r.alphas)
+    if stats is None:
         raise AllZeroAmplitudes("cannot predict statistics from all-zero amplitudes")
-    ref = int(np.argmax(weights))
-    active = [i for i in range(weights.size) if i != ref and weights[i] > 0.0]
-
-    omegas = np.zeros(weights.size)
-    if active:
-        nu = weights[np.array(active)] / weights[ref]
-        k = len(active)
-        system = np.ones((k, k)) + np.diag(1.0 / nu)
-        solution = np.linalg.solve(system, np.ones(k))
-        omegas[np.array(active)] = solution
-    omegas[ref] = 1.0 - omegas.sum()
-    return StrongStatistics(omegas)
+    return stats
 
 
 def design_postselection(psi: StateVector, targets) -> StateVector:

@@ -68,9 +68,6 @@ class BarrierSpec:
         if not (self.height >= 0 and self.width > 0 and self.mass > 0):
             raise ValueError("barrier needs height >= 0, width > 0, mass > 0")
 
-    def energy(self, k) -> np.ndarray:
-        return np.asarray(k, dtype=float) ** 2 / (2.0 * self.mass)
-
     @property
     def threshold_momentum(self) -> float:
         """Momentum at which the kinetic energy reaches the barrier top."""
@@ -102,25 +99,42 @@ class PacketSpec:
         return 1.0 / self.delta_x ** 2
 
 
-def _scaled_denominator(b: BarrierSpec, k: np.ndarray):
-    """The barrier denominator shared by T and R, with e^{qd} factored out.
+# |qd|^2 below which s and w take their series.  The direct forms divide by
+# q, and w's cancels down to O(|qd|^2) of its terms, losing digits as
+# eps / |qd|^3: about 1e-13 at this limit, where the series hold to 1e-17.
+_SERIES_LIMIT = 1e-2
 
-    With q = sqrt(2 mu V - k^2) (principal root, Re q >= 0) and mismatch
-    m = (i/2)(q/k - k/q) = i (mu V - k^2) / (q k), both amplitudes divide by
-    cosh(qd) + m sinh(qd) = (e^{qd}/2) D,  D = (1 + m) + (1 - m) e^{-2qd}.
-    Returns ``(q, e^{-qd}, D)``; every factor stays bounded, so an opaque
-    barrier underflows T towards 0 instead of overflowing cosh to nan.  At
-    q = 0, where m is infinite, D takes its limit 2 - 2 i mu V d / k.
+
+def _barrier_terms(b: BarrierSpec, k: np.ndarray):
+    """The terms T, R and d log T/dp are built from, at momenta k.
+
+    With q = sqrt(2 mu V - k^2) (principal root, Re q >= 0),
+        c = (1 + e^{-2qd}) / 2,   s = (1 - e^{-2qd}) / (2q),   g = mu V / k - k,
+    so that cosh(qd) + i (g/q) sinh(qd) = e^{qd} (c + i g s).  Returns
+    ``(e^{-qd}, s, g, c + i g s)``; every term stays bounded, so an opaque
+    barrier underflows T towards 0 instead of overflowing cosh to nan.
+    Where |qd|^2 = |2 mu V - k^2| d^2 < 1e-2, s comes from the series of
+    e^{-x} sinh(x)/x, x = qd, which is finite at q = 0 itself.  Entries at
+    k = 0, where g is infinite, are meaningless; callers set their limits.
     """
-    k_sq = k * k
-    q = np.sqrt((2.0 * b.mass * b.height - k_sq).astype(complex))
-    decay = np.exp(-q * b.width)
-    decay_sq = decay * decay
-    mismatch = 1j * (b.mass * b.height - k_sq) / (q * k)
-    denom = (1.0 + decay_sq) + mismatch * (1.0 - decay_sq)
-    edge = k_sq == 2.0 * b.mass * b.height  # q == 0, compared in reals
-    denom[edge] = 2.0 - 2j * b.mass * b.height * b.width / k[edge]
-    return q, decay, denom
+    d, mu_v = b.width, b.mass * b.height
+    q_sq = 2.0 * mu_v - k * k
+    q = np.sqrt(q_sq.astype(complex))
+    decay = np.exp(q * -d)
+    s = decay * decay
+    denom = s + 1.0
+    denom *= 0.5                         # c
+    np.subtract(1.0, s, out=s)
+    with np.errstate(divide="ignore", invalid="ignore"):  # q = 0, k = 0
+        s /= q + q
+        near = np.abs(q_sq) < _SERIES_LIMIT / (d * d)
+        if near.any():
+            x_sq = q_sq[near] * (d * d)
+            s[near] = decay[near] * d * (1.0 + x_sq * (1.0 / 6.0 + x_sq * (
+                1.0 / 120.0 + x_sq * (1.0 / 5040.0 + x_sq / 362880.0))))
+        g = mu_v / k - k
+        denom += 1j * (g * s)
+    return decay, s, g, denom
 
 
 def transmission_amplitude(b: BarrierSpec, k):
@@ -129,9 +143,9 @@ def transmission_amplitude(b: BarrierSpec, k):
     Below the barrier q = sqrt(2 mu (V - E)) is real, above it the same
     formula continues analytically (q -> i k').  Negative k returns the
     conjugate of T(|k|); T(0) = 0 whenever V > 0, while V = 0
-    short-circuits to T = 1.  Evaluated in the scaled form
-    T = 2 e^{-ikd} e^{-qd} / D (see :func:`_scaled_denominator`), so it stays
-    finite at any width.
+    short-circuits to T = 1.  Evaluated as
+    T = e^{-ikd} e^{-qd} / (c + i g s) from :func:`_barrier_terms`, so it
+    stays finite at any width and at the threshold q = 0.
     """
     k_arr = np.asarray(k, dtype=float)
     scalar = k_arr.ndim == 0
@@ -139,9 +153,9 @@ def transmission_amplitude(b: BarrierSpec, k):
     if b.height == 0.0:
         out = np.ones(k_arr.shape, dtype=complex)
     else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            _, decay, denom = _scaled_denominator(b, k_arr)
-            out = 2.0 * np.exp(-1j * (k_arr * b.width)) * decay / denom
+        decay, _, _, denom = _barrier_terms(b, k_arr)
+        with np.errstate(invalid="ignore"):
+            out = np.exp(k_arr * (-1j * b.width)) * decay / denom
         out = np.where(k_arr == 0, 0.0 + 0.0j, out)
     return complex(out[0]) if scalar else out
 
@@ -149,8 +163,8 @@ def transmission_amplitude(b: BarrierSpec, k):
 def reflection_amplitude(b: BarrierSpec, k):
     """Exact reflection amplitude R(k); |T|^2 + |R|^2 = 1 on the real axis.
 
-    Scaled form: R = pileup (1 - e^{-2qd}) / D, pileup = -i mu V / (q k)
-    = -(i/2)(q/k + k/q); the numerator is -2 i mu V d / k at q = 0.
+    R = -i mu V s / (k (c + i g s)) from :func:`_barrier_terms`; R(0) = -1
+    whenever V > 0, while V = 0 short-circuits to R = 0.
     """
     k_arr = np.asarray(k, dtype=float)
     scalar = k_arr.ndim == 0
@@ -158,13 +172,9 @@ def reflection_amplitude(b: BarrierSpec, k):
     if b.height == 0.0:
         out = np.zeros(k_arr.shape, dtype=complex)
     else:
+        _, s, _, denom = _barrier_terms(b, k_arr)
         with np.errstate(divide="ignore", invalid="ignore"):
-            q, decay, denom = _scaled_denominator(b, k_arr)
-            pileup = -1j * b.mass * b.height / (q * k_arr)
-            out = pileup * (1.0 - decay * decay)
-            edge = q == 0
-            out[edge] = -2j * b.mass * b.height * b.width / k_arr[edge]
-            out /= denom
+            out = s * (-1j * b.mass * b.height) / (k_arr * denom)
         out = np.where(k_arr == 0, -1.0 + 0.0j, out)
     return complex(out[0]) if scalar else out
 
@@ -183,12 +193,12 @@ _MIN_CYCLES = 50     # carrier cycles per box; the step moves <= 1/(2 cycles)
 class ShiftGrid:
     """Grid request for the shift-amplitude synthesis.
 
-    The minimum span is [-4d, +8d].  A field left ``None`` is sized from
-    the problem.  The delay-side reach must hold the slow tail of A(x),
-    which comes from the first above-barrier transmission resonance
-    (k' d = pi): its pole at Im k = -2 pi^2 / (k_th^2 d^3) makes the tail
-    decay as e^{-x/L} with L = mu V d^3 / pi^2.  The default reach is 16 L,
-    capped at 6000.  The default node count is the smallest power of two
+    The grid starts at -4d and reaches at least +8d.  A field left ``None``
+    is sized from the problem.  The delay-side reach must hold the slow
+    tail of A(x), which comes from the first above-barrier transmission
+    resonance (k' d = pi): its pole at Im k = -2 pi^2 / (k_th^2 d^3) makes
+    the tail decay as e^{-x/L} with L = mu V d^3 / pi^2.  The default reach
+    is 16 L, capped at 6000.  The default node count is the smallest power of two
     (>= 2^14) covering that span, and at least 50 carrier cycles, at the
     step of the 2^21-node grid reaching 6000, so ``leakage`` keeps its
     value; barriers wide enough to need the cap get that grid itself.
@@ -196,8 +206,6 @@ class ShiftGrid:
     for the FFT.
     """
 
-    x_min_widths: float = 4.0      # span below zero, in barrier widths
-    x_max_widths: float = 8.0      # minimum span above zero, in barrier widths
     x_max_absolute: float | None = None  # delay-side reach, absolute units
     nodes: int | None = None
 
@@ -205,8 +213,6 @@ class ShiftGrid:
         if self.nodes is not None and (
                 self.nodes < _MIN_NODES or self.nodes & (self.nodes - 1)):
             raise GridError("shift grid needs a power-of-two node count >= 2^14")
-        if self.x_min_widths < 4.0 or self.x_max_widths < 8.0:
-            raise GridError("shift grid must span at least [-4d, +8d]")
 
 
 @dataclass(frozen=True)
@@ -227,10 +233,6 @@ class ShiftDistribution:
     @property
     def step(self) -> float:
         return float(self.x_grid[1] - self.x_grid[0])
-
-    def moment(self) -> complex:
-        """integral x alpha(x) dx on this grid (trapezoid = Riemann here)."""
-        return complex(np.sum(self.x_grid * self.relative) * self.step)
 
 
 def _synthesize(b: BarrierSpec, p: float, x_lo: float, x_hi: float,
@@ -271,8 +273,8 @@ def _synthesize(b: BarrierSpec, p: float, x_lo: float, x_hi: float,
 def _layout(b: BarrierSpec, p: float,
             grid: ShiftGrid) -> tuple[float, float, int]:
     """``(x_lo, x_hi, nodes)`` of a shift-grid request at momentum p."""
-    x_lo = -grid.x_min_widths * b.width
-    floor = grid.x_max_widths * b.width
+    x_lo = -4.0 * b.width
+    floor = 8.0 * b.width
     if grid.x_max_absolute is not None:
         x_hi = max(floor, grid.x_max_absolute)
     else:
@@ -288,6 +290,17 @@ def _layout(b: BarrierSpec, p: float,
     while nodes > _MIN_NODES and (nodes // 2) * step >= span:
         nodes //= 2
     return x_lo, x_lo + nodes * step, nodes
+
+
+def _checked_total(a: np.ndarray, dx: float, t_p: complex) -> complex:
+    """integral A dx, checked against the sum rule sqrt(2 pi) T(p)."""
+    total = complex(a.sum() * dx)
+    target = np.sqrt(2.0 * np.pi) * t_p
+    if not abs(total - target) <= 1e-6 * abs(target):
+        raise GridError(
+            f"shift-amplitude sum rule violated: {total} vs {target}; "
+            "grid inadequate")
+    return total
 
 
 def shift_amplitudes(b: BarrierSpec, p: float,
@@ -306,13 +319,7 @@ def shift_amplitudes(b: BarrierSpec, p: float,
         raise ValueError("mean momentum must be positive")
     x_lo, x_hi, nodes = _layout(b, p, grid)
     x, a, dx = _synthesize(b, p, x_lo, x_hi, nodes, window_width=None)
-
-    total = complex(a.sum() * dx)
-    target = np.sqrt(2.0 * np.pi) * transmission_amplitude(b, p)
-    if not abs(total - target) <= 1e-6 * abs(target):
-        raise GridError(
-            f"shift-amplitude sum rule violated: {total} vs {target}; "
-            "grid inadequate")
+    total = _checked_total(a, dx, transmission_amplitude(b, p))
     mass = float(np.abs(a).sum() * dx)
     leakage = float(np.abs(a[x < 0.0]).sum() * dx / mass)
     return ShiftDistribution(x_grid=x, amplitudes=a, relative=a / total,
@@ -322,33 +329,29 @@ def shift_amplitudes(b: BarrierSpec, p: float,
 def _log_derivative(b: BarrierSpec, p: float) -> complex:
     """Closed-form d log T / dp at p > 0 (0 when V = 0).
 
-    T = e^{-ikd} e^{-qd} / (c + i g s), g = mu V / k - k,
-    c = (1 + e^{-2qd}) / 2, s = (1 - e^{-2qd}) / (2q).  With dq/dk = -k/q,
+    From T = e^{-ikd} e^{-qd} / (c + i g s) (:func:`_barrier_terms`), with
+    dq/dk = -k/q and g' = -mu V / k^2 - 1,
         d log T / dk = -id - [-d k s + i g' s - i g k w] / (c + i g s),
     w = (d c - s) / q^2, in which the two 1/q divergences of
-    -qd - log(c + i g s) have cancelled.  Near q = 0, s and w come from the
-    series of e^{-x} sinh(x)/x and e^{-x} (cosh x - sinh(x)/x)/x^2, x = qd.
+    -qd - log(c + i g s) have cancelled.  Where s takes its series, so does
+    w: the series of e^{-x} (cosh x - sinh(x)/x)/x^2, x = qd.
     """
     if p <= 0:
         raise ValueError("mean momentum must be positive")
     if b.height == 0.0:
         return 0j
     d, mu_v = b.width, b.mass * b.height
-    q = np.sqrt(complex(2.0 * mu_v - p * p))
-    qd = q * d
-    decay_sq = np.exp(-2.0 * qd)
-    c = 0.5 * (1.0 + decay_sq)
-    if abs(qd) < 1e-2:
-        x_sq = qd * qd
-        s = np.exp(-qd) * d * (1.0 + x_sq / 6.0 + x_sq * x_sq / 120.0)
-        w = np.exp(-qd) * d ** 3 * (1.0 / 3.0 + x_sq / 30.0 + x_sq * x_sq / 840.0)
+    decay, s, g, denom = (term[0] for term in _barrier_terms(b, np.array([p])))
+    q_sq = 2.0 * mu_v - p * p
+    if abs(q_sq) < _SERIES_LIMIT / (d * d):
+        x_sq = q_sq * d * d
+        w = decay * d ** 3 * (1.0 / 3.0 + x_sq * (1.0 / 30.0 + x_sq * (
+            1.0 / 840.0 + x_sq * (1.0 / 45360.0 + x_sq / 3991680.0))))
     else:
-        s = (1.0 - decay_sq) / (2.0 * q)
-        w = (d * c - s) / (q * q)
-    g = mu_v / p - p
+        w = (d * 0.5 * (1.0 + decay * decay) - s) / q_sq
     g_prime = -mu_v / (p * p) - 1.0
     numer = -d * p * s + 1j * g_prime * s - 1j * g * p * w
-    return complex(-1j * d - numer / (c + 1j * g * s))
+    return complex(-1j * d - numer / denom)
 
 
 def phase_derivative(b: BarrierSpec, p: float) -> float:
@@ -379,7 +382,7 @@ def weak_shift(b: BarrierSpec, p: float) -> tuple[float, float]:
     """
     if p <= 0:
         raise ValueError("mean momentum must be positive")
-    if b.height > 0 and b.energy(p) >= b.height:
+    if b.height > 0 and p >= b.threshold_momentum:
         raise ValueError("weak delay analysis requires a sub-barrier momentum")
     t_p = transmission_amplitude(b, p)
     if abs(t_p) < np.finfo(float).tiny:  # subnormal T has lost its digits
@@ -392,10 +395,7 @@ def weak_shift(b: BarrierSpec, p: float) -> tuple[float, float]:
     x_lo = -12.0 * probe_width
     x_hi = 12.0 * probe_width + 12.0 * b.width
     x, a, dx = _synthesize(b, p, x_lo, x_hi, 1 << 17, window_width=probe_width)
-    total = complex(a.sum() * dx)
-    target = np.sqrt(2.0 * np.pi) * t_p
-    if not abs(total - target) <= 1e-6 * abs(target):
-        raise GridError("windowed sum rule violated; probe grid inadequate")
+    total = _checked_total(a, dx, t_p)
     from_integral = float((complex(np.sum(x * a)) * dx / total).real)
     return from_integral, phase_derivative(b, p)
 
@@ -459,9 +459,8 @@ def _chirp_z(values: np.ndarray, k: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.exp(1j * (k[0] * y + 0.5 * a * m ** 2)) * conv
 
 
-def simulate_transmission(b: BarrierSpec, packet: PacketSpec, t: float,
-                          k_points: int = 1 << 13,
-                          x_points: int = 1 << 11) -> TransmissionResult:
+def simulate_transmission(b: BarrierSpec, packet: PacketSpec,
+                          t: float) -> TransmissionResult:
     """Propagate the transmitted packet with full dispersion E = k^2/2mu.
 
     The wave is synthesized in momentum space, psi_T proportional to
@@ -483,7 +482,7 @@ def simulate_transmission(b: BarrierSpec, packet: PacketSpec, t: float,
     half_span = 16.0 / dx_packet
     if p - half_span <= 0:
         raise GridError("packet too narrow: momentum grid would cross k = 0")
-    kappa = np.linspace(-half_span, half_span, k_points)
+    kappa = np.linspace(-half_span, half_span, 1 << 13)
     envelope = np.exp(-0.25 * (kappa * dx_packet) ** 2)
     t_k = transmission_amplitude(b, p + kappa)
     spectral = t_k * envelope
@@ -496,7 +495,7 @@ def simulate_transmission(b: BarrierSpec, packet: PacketSpec, t: float,
     transmitted_norm = float(norm_k / incident)
 
     # envelope in the frame moving at v: full quadratic dispersion retained
-    y = np.linspace(-8.0 * dx_packet, 8.0 * dx_packet, x_points)
+    y = np.linspace(-8.0 * dx_packet, 8.0 * dx_packet, 1 << 11)
     modes = spectral * np.exp(-0.5j * kappa ** 2 * t / b.mass)
     profile = np.abs(_chirp_z(modes, kappa, y)) ** 2
     norm_y = np.trapezoid(profile, y)

@@ -56,3 +56,39 @@ def random_transition(rng: np.random.Generator, n: int,
     total_time = float(rng.uniform(0.0, 2.0)) if with_dynamics else 0.0
     return TransitionSpec(random_state(rng, n), random_state(rng, n),
                           hamiltonian, total_time, observable)
+
+
+def barrier_amplitudes(height: float, width: float, mass: float, k: np.ndarray):
+    """T(k) and R(k) of a rectangular barrier in the textbook cosh/sinh form.
+
+    With q = sqrt(2 mu V - k^2) and g = mu V / k - k,
+        T = e^{-ikd} / (cosh(qd) + i g sinh(qd)/q),
+        R = -i (mu V / k) (sinh(qd)/q) / (cosh(qd) + i g sinh(qd)/q).
+    Written independently of the library's scaled form; it overflows for
+    opaque barriers (qd > 710) and divides by zero at q = 0 exactly.  Both
+    depend on q only through cosh(qd) and sinh(qd)/q, so they continue to
+    complex k without a branch cut.
+    """
+    k = np.asarray(k, dtype=complex)
+    mu_v = mass * height
+    q = np.sqrt(2.0 * mu_v - k * k)
+    sinh_over_q = np.sinh(q * width) / q
+    denom = np.cosh(q * width) + 1j * (mu_v / k - k) * sinh_over_q
+    return (np.exp(-1j * k * width) / denom,
+            -1j * (mu_v / k) * sinh_over_q / denom)
+
+
+def barrier_log_derivative(height: float, width: float, mass: float,
+                           p: float, nodes: int = 32) -> complex:
+    """d log T / dp from the Cauchy integral of T on a circle round p.
+
+    The mean of T(p + r w) / (r w) over the nodes-th roots of unity w is
+    T'(p) up to O(r^nodes) while T is analytic inside the circle.  The
+    radius r = 0.05 min(p, 1/d) stays clear of k = 0 and, for barriers that
+    are not much wider than 1/k_th, of the resonance poles below the axis.
+    """
+    radius = 0.05 * min(p, 1.0 / width)
+    roots = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    ring, _ = barrier_amplitudes(height, width, mass, p + radius * roots)
+    centre, _ = barrier_amplitudes(height, width, mass, p)
+    return complex(np.mean(ring / roots) / radius / centre)

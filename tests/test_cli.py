@@ -260,6 +260,14 @@ class TestTunnel:
         _, rows = parse_csv(out)
         assert all(np.isfinite(value) for value in rows[0].values())
 
+    def test_zero_height_barrier_shifts_nothing(self, capsys):
+        code, out, err = run_cli(capsys, "tunnel", "--barrier-height", "0",
+                                 "--packet-width", "120", "--no-header-meta")
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert rows[0]["delta_k"] == 0.0
+        assert rows[0]["delta_x_phase"] == 0.0
+
     def test_above_barrier_momentum_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "tunnel", "--momentum", "5.0")
         assert code == 2

@@ -10,6 +10,7 @@ from wmpath import (
     OrthogonalPostselection,
     PathAmplitudeSet,
     StateVector,
+    StrongStatistics,
     TransitionSpec,
     ZeroTransmission,
     evolve,
@@ -203,6 +204,23 @@ class TestStrongStatistics:
     def test_all_zero_raises(self):
         with pytest.raises(ZeroTransmission):
             strong_probabilities(PathAmplitudeSet([0.0, 0.0]))
+
+    def test_huge_amplitudes_do_not_overflow(self):
+        # |A|^2 = inf would give inf / inf = nan for both routes
+        stats = strong_probabilities(PathAmplitudeSet([1e160, 1e160]))
+        assert np.array_equal(stats.omegas, [0.5, 0.5])
+
+    def test_tiny_amplitudes_do_not_underflow(self):
+        # A = (1e-170, 1e-170): |A|^2 = 1e-340 would round to zero
+        spec = TransitionSpec(StateVector([1e-170, 1.0]),
+                              StateVector([1.0, 1e-170]),
+                              HermitianMatrix.zero(2), 0.0, natural_basis(2))
+        stats = strong_probabilities(path_amplitudes(spec))
+        assert np.array_equal(stats.omegas, [0.5, 0.5])
+
+    def test_non_finite_probabilities_rejected(self):
+        with pytest.raises(ValueError):
+            StrongStatistics([np.nan, np.nan])
 
     def test_spin100_strong_mean(self):
         stats = strong_probabilities(path_amplitudes(spin100_spec()))

@@ -18,6 +18,8 @@ from wmpath import tunneling
 from wmpath.errors import GridError
 from wmpath.tunneling import _chirp_z
 
+from helpers import barrier_amplitudes, barrier_log_derivative
+
 OPAQUE = BarrierSpec(height=1.0, width=10.0, mass=1.0)
 FREE = BarrierSpec(height=0.0, width=10.0, mass=1.0)
 P = 0.8
@@ -70,6 +72,23 @@ class TestTransmissionAmplitude:
                 assert abs(at - amplitude(b, k_th * side)) < 1e-8
         grid = transmission_amplitude(b, np.array([0.5, 1.0, 2.0]) * k_th)
         assert np.isfinite(grid).all()
+
+    @pytest.mark.parametrize("height, width", [(0.25, 5.0), (1.0, 2.0)])
+    def test_matches_cosh_sinh_form_next_to_threshold(self, height, width):
+        # |k / k_th - 1| from 0.1 to 1e-14 crosses the series edge |qd| = 0.1;
+        # a form that cancels, (1 - e^{-2qd}) / q, is off by ~1e-10 at 1e-10
+        b = BarrierSpec(height=height, width=width, mass=1.0)
+        offsets = 10.0 ** -np.arange(1.0, 15.0)
+        k = b.threshold_momentum * np.concatenate((1.0 - offsets, 1.0 + offsets))
+        oracle_t, oracle_r = barrier_amplitudes(height, width, 1.0, k)
+        for amplitude, oracle in ((transmission_amplitude, oracle_t),
+                                  (reflection_amplitude, oracle_r)):
+            error = np.abs(amplitude(b, k) - oracle) / np.abs(oracle)
+            assert error.max() < 1e-13
+
+    def test_zero_momentum_is_fully_reflected(self):
+        assert transmission_amplitude(OPAQUE, 0.0) == 0.0
+        assert reflection_amplitude(OPAQUE, 0.0) == -1.0
 
     def test_conjugate_symmetry(self):
         k = np.array([0.3, 0.9, 1.7])
@@ -137,8 +156,6 @@ class TestShiftAmplitudes:
     def test_rejects_undersized_grid(self):
         with pytest.raises(GridError):
             ShiftGrid(nodes=1 << 10)
-        with pytest.raises(GridError):
-            ShiftGrid(x_min_widths=1.0)
 
 
 class TestWeakShift:
@@ -238,13 +255,25 @@ class TestPhaseDerivative:
         assert phase_derivative(b, p) == pytest.approx(dlog.imag, rel=1e-6)
         assert log_modulus_derivative(b, p) == pytest.approx(dlog.real, rel=1e-6)
 
-    @pytest.mark.parametrize("qd", [3e-3, 0.99e-2, 1.01e-2])
+    @pytest.mark.parametrize("qd", [3e-3, 0.99e-2, 1.01e-2, 0.99e-1, 1.01e-1])
     def test_series_and_direct_forms_meet_near_threshold(self, qd):
-        # |qd| < 1e-2 takes the series for s and w, the rest the direct form
+        # |qd| < 0.1 takes the series for s and w, the rest the direct form
         p = np.sqrt(2.0 - (qd / OPAQUE.width) ** 2)
         dlog = central_difference_log_derivative(OPAQUE, p)
         assert phase_derivative(OPAQUE, p) == pytest.approx(dlog.imag, rel=1e-6)
         assert log_modulus_derivative(OPAQUE, p) == pytest.approx(dlog.real, rel=1e-6)
+
+    @pytest.mark.parametrize("height, width", [(1.0, 2.0), (0.05, 4.0), (0.25, 5.0)])
+    def test_matches_contour_derivative_next_to_threshold(self, height, width):
+        # from 0.1 to 1e-6 of k_th on both sides, across the series edge;
+        # a direct w = (d c - s) / q^2 at |qd| = 0.01 is ~3e-11 off
+        b = BarrierSpec(height=height, width=width, mass=1.0)
+        offsets = 10.0 ** -np.arange(1.0, 7.0)
+        ratios = np.concatenate((1.0 - offsets, 1.0 + offsets))
+        for p in b.threshold_momentum * ratios:
+            oracle = barrier_log_derivative(height, width, 1.0, p)
+            closed = log_modulus_derivative(b, p) + 1j * phase_derivative(b, p)
+            assert abs(closed - oracle) < 1e-12 * abs(oracle)
 
     @pytest.mark.parametrize("width", [50.0, 200.0, 700.0, 1e4])
     def test_hartman_saturation(self, width):
