@@ -37,19 +37,18 @@ from .errors import (
     WmpathError,
 )
 from .hilbert import HermitianMatrix, Observable, StateVector
-from .meter import (
-    GaussianPointer,
-    exact_mean_position,
-    weak_asymptotics,
-)
+from .meter import GaussianPointer, _accuracy_terms, _kernel_moments, _weak_momentum
 from .paths import (
     EigenvaluePartition,
     TransitionSpec,
+    _half_steps,
+    _project,
     group,
     path_amplitudes,
     relative_amplitudes,
     strong_mean,
     strong_probabilities,
+    weak_value,
 )
 from .scenarios import (
     SCENARIO_NAMES,
@@ -76,44 +75,39 @@ TUNNEL_COLUMNS = ("p", "delta_x_phase", "delta_x_integral", "delta_k",
                   "oracle_dx", "oracle_dk", "leakage")
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.16e}"
-
-
 @dataclass
 class RunRecord:
-    """One command's tabular output (rows share one column tuple)."""
+    """One command's table: ``columns`` over a 2-D float array ``data``.
+
+    Construction checks finiteness once per column (WmpathError names the
+    column); CSV cells use '%.16e', the bytes of f"{x:.16e}".
+    """
 
     scenario: str
     columns: tuple[str, ...]
-    rows: list[dict] = field(default_factory=list)
-    timestamp: str = ""
+    data: np.ndarray
+    timestamp: str = field(
+        default_factory=lambda: datetime.now(timezone.utc).isoformat())
 
     def __post_init__(self):
-        if not self.timestamp:
-            self.timestamp = datetime.now(timezone.utc).isoformat()
-
-    def add_row(self, **values):
-        missing = set(self.columns) - set(values)
-        extra = set(values) - set(self.columns)
-        if missing or extra:
-            raise ValueError(f"row keys mismatch: missing {missing}, extra {extra}")
-        for key, item in values.items():
-            if not np.isfinite(item):
-                raise WmpathError(f"non-finite output in column '{key}'")
-        self.rows.append({k: float(values[k]) for k in self.columns})
+        self.data = np.asarray(self.data, dtype=float)
+        finite = np.isfinite(self.data).all(axis=0)
+        if not finite.all():
+            raise WmpathError(
+                f"non-finite output in column '{self.columns[finite.argmin()]}'")
 
     def render_csv(self, include_meta: bool = True) -> str:
         lines = []
         if include_meta:
             lines.append(f"# wmpath scenario={self.scenario} generated={self.timestamp}")
         lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(_fmt(row[c]) for c in self.columns))
+        row_format = ",".join(["%.16e"] * len(self.columns))
+        lines.extend(row_format % tuple(row) for row in self.data.tolist())
         return "\n".join(lines) + "\n"
 
     def render_json(self) -> str:
-        return json.dumps(self.rows, indent=2) + "\n"
+        rows = [dict(zip(self.columns, row)) for row in self.data.tolist()]
+        return json.dumps(rows, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -239,26 +233,19 @@ def _discrete_from_args(args) -> tuple[LoadedScenario, dict]:
 # measurement rows
 
 def _measurement_record(loaded: LoadedScenario, ladder) -> RunRecord:
-    """One row per accuracy delta_f, all from one set of path amplitudes."""
+    """One row per accuracy delta_f, all from one set of path amplitudes
+    and one pass of the meter kernel over the whole ladder."""
     spec = loaded.transition.with_observable(loaded.observable)
     amps = path_amplitudes(spec)
-    alphas = relative_amplitudes(amps)
+    weak = weak_value(loaded.observable, relative_amplitudes(amps))
     grouped = group(amps, loaded.partition)
     strong = strong_mean(loaded.partition.group_values,
                          strong_probabilities(grouped))
-    record = RunRecord(scenario=loaded.name, columns=SWEEP_COLUMNS)
-    for delta_f in ladder:
-        pointer = GaussianPointer(float(delta_f))
-        exact = exact_mean_position(amps, loaded.observable, pointer)
-        weak = weak_asymptotics(alphas, loaded.observable, pointer)
-        record.add_row(delta_f=pointer.delta_f,
-                       mean_f_exact=exact.mean_f,
-                       mean_lambda_exact=exact.mean_lambda,
-                       mean_f_weak_asym=weak.mean_f,
-                       mean_lambda_weak_asym=weak.mean_lambda,
-                       mean_f_strong_asym=strong,
-                       norm=exact.norm)
-    return record
+    mean_f, mean_lambda, norm = _kernel_moments(amps, loaded.observable, ladder)
+    weak_lambda = _weak_momentum(weak, _accuracy_terms(ladder)[1])
+    columns = (ladder, mean_f, mean_lambda, weak.real, weak_lambda, strong, norm)
+    return RunRecord(scenario=loaded.name, columns=SWEEP_COLUMNS,
+                     data=np.column_stack(np.broadcast_arrays(*columns)))
 
 
 def _strong_record(loaded: LoadedScenario, strong_name: str) -> RunRecord:
@@ -271,18 +258,12 @@ def _strong_record(loaded: LoadedScenario, strong_name: str) -> RunRecord:
     grouped = group(path_amplitudes(spec), partition)
     stats = strong_probabilities(grouped)
     mean = strong_mean(partition.group_values, stats)
-    columns = []
-    values = {}
-    for i, (val, w) in enumerate(zip(partition.group_values, stats.omegas), 1):
-        columns += [f"group_value_{i}", f"omega_{i}"]
-        values[f"group_value_{i}"] = val
-        values[f"omega_{i}"] = w
-    columns.append("strong_mean")
-    values["strong_mean"] = mean
-    record = RunRecord(scenario=f"{loaded.name}:strong:{strong_name}",
-                       columns=tuple(columns))
-    record.add_row(**values)
-    return record
+    columns = [name for i in range(1, stats.omegas.size + 1)
+               for name in (f"group_value_{i}", f"omega_{i}")]
+    values = np.column_stack((partition.group_values, stats.omegas)).ravel()
+    return RunRecord(scenario=f"{loaded.name}:strong:{strong_name}",
+                     columns=(*columns, "strong_mean"),
+                     data=[[*values, mean]])
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +276,8 @@ def _cmd_run(args):
     delta_f = args.delta_f if args.delta_f is not None else config.get("delta_f")
     if delta_f is None:
         delta_f = 1.0
-    delta_f = float(delta_f)
-    if not (np.isfinite(delta_f) and delta_f > 0):
-        raise ConfigError("delta_f must be finite and > 0")
-    return _measurement_record(loaded, [delta_f]), config.get("output")
+    pointer = GaussianPointer(float(delta_f))  # rejects a bad accuracy first
+    return _measurement_record(loaded, [pointer.delta_f]), config.get("output")
 
 
 def _sweep_ladder(args, config: dict) -> np.ndarray:
@@ -312,8 +291,8 @@ def _sweep_ladder(args, config: dict) -> np.ndarray:
     if lo is None or hi is None or points is None:
         raise ConfigError("sweep needs --delta-f-min, --delta-f-max and --points")
     lo, hi, points = float(lo), float(hi), int(points)
-    if not (0 < lo < hi) or points < 2:
-        raise ConfigError("sweep ladder needs 0 < min < max and points >= 2")
+    if not (0 < lo < hi < np.inf) or points < 2:
+        raise ConfigError("sweep ladder needs 0 < min < max < inf and points >= 2")
     if log:
         return np.geomspace(lo, hi, points)
     return np.linspace(lo, hi, points)
@@ -347,21 +326,18 @@ def _cmd_design(args):
             f"{targets.size} targets for a {psi.dimension}-component state")
     phi = design_postselection(psi, targets)
 
-    spec = TransitionSpec(psi, phi, HermitianMatrix.zero(psi.dimension),
-                          0.0, Observable.from_matrix(
-                              np.diag(np.arange(1.0, psi.dimension + 1.0))))
-    realized = relative_amplitudes(path_amplitudes(spec)).alphas
+    n = psi.dimension
+    spec = TransitionSpec(psi, phi, HermitianMatrix.zero(n), 0.0)
+    # the amplitudes in basis order: project onto the standard basis
+    realized = relative_amplitudes(_project(_half_steps(spec), np.eye(n))).alphas
     error = float(np.abs(realized - targets).max())
 
     columns = ("index", "phi_re", "phi_im", "alpha_re", "alpha_im",
                "round_trip_error")
-    record = RunRecord(scenario="design", columns=columns)
-    for i in range(psi.dimension):
-        record.add_row(index=float(i), phi_re=phi.amplitudes[i].real,
-                       phi_im=phi.amplitudes[i].imag,
-                       alpha_re=realized[i].real, alpha_im=realized[i].imag,
-                       round_trip_error=error)
-    return record, None
+    data = np.column_stack((np.arange(n), phi.amplitudes.real,
+                            phi.amplitudes.imag, realized.real, realized.imag,
+                            np.full(n, error)))
+    return RunRecord(scenario="design", columns=columns, data=data), None
 
 
 def _cmd_tunnel(args):
@@ -397,12 +373,10 @@ def _cmd_tunnel(args):
     dk = momentum_shift(barrier, packet)
     sim = simulate_transmission(barrier, packet, time)
 
-    record = RunRecord(scenario="tunneling", columns=TUNNEL_COLUMNS)
-    record.add_row(p=momentum, delta_x_phase=dx_phase,
-                   delta_x_integral=dx_integral, delta_k=dk,
-                   oracle_dx=sim.delay_shift, oracle_dk=sim.momentum_gain,
-                   leakage=dist.leakage)
-    return record, config.get("output")
+    row = (momentum, dx_phase, dx_integral, dk, sim.delay_shift,
+           sim.momentum_gain, dist.leakage)
+    return (RunRecord(scenario="tunneling", columns=TUNNEL_COLUMNS, data=[row]),
+            config.get("output"))
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,10 @@ ZERO_NORM_THRESHOLD = 1e-300
 # (2/pi)^(1/4), the L2-normalizing prefactor of G0
 _G0_PREFACTOR = (2.0 / np.pi) ** 0.25
 
+# kernel entries per block of an accuracy ladder: the (P, N, N) pass stays
+# cache-sized and its memory flat in the ladder length
+_KERNEL_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class GaussianPointer:
@@ -52,8 +56,7 @@ class GaussianPointer:
     delta_f: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.delta_f) and self.delta_f > 0.0):
-            raise ValueError("delta_f must be finite and > 0")
+        object.__setattr__(self, "_variance", _accuracy_terms(self.delta_f)[1])
 
     def profile(self, f):
         """Initial pointer wave function G(f)."""
@@ -70,7 +73,19 @@ class GaussianPointer:
     @property
     def momentum_variance(self) -> float:
         """int lambda^2 |G(lambda)|^2 d lambda = 1 / delta_f^2 for G0."""
-        return 1.0 / self.delta_f ** 2
+        return float(self._variance)
+
+
+def _accuracy_terms(delta_f) -> tuple[np.ndarray, np.ndarray]:
+    """(delta_f, 1/delta_f^2) as float arrays, under the one validity rule
+    for accuracies: each delta_f finite and > 0 with 1/delta_f^2 finite."""
+    widths = np.asarray(delta_f, dtype=float)
+    with np.errstate(over="ignore", divide="ignore"):  # delta_f^2 = inf: 0
+        variance = 1.0 / np.square(widths)
+    if not np.all((widths > 0.0) & (widths < np.inf) & np.isfinite(variance)):
+        raise ValueError("delta_f must be finite and > 0, with 1/delta_f^2 "
+                         "finite (delta_f above about 7.5e-155)")
+    return widths, variance
 
 
 @dataclass(frozen=True)
@@ -105,26 +120,42 @@ def pointer_momentum_amplitude(a: PathAmplitudeSet, obs, m: GaussianPointer,
     return out if out.ndim else complex(out)
 
 
-def _kernel_moments(a: PathAmplitudeSet, obs, m: GaussianPointer):
-    """The three closed-form double sums over the Gaussian overlap kernel."""
+def _kernel_moments(a: PathAmplitudeSet, obs, delta_f):
+    """Exact (mean_f, mean_lambda, norm) arrays, one entry per accuracy in
+    ``delta_f``, from three closed-form double sums over the Gaussian
+    overlap kernel K_ij = exp(-(S_i - S_j)^2 / (2 delta_f^2)): the whole
+    accuracy ladder in one blocked pass, _KERNEL_BLOCK entries of the
+    (P, N, N) kernel at a time."""
+    delta_f, variance = _accuracy_terms(delta_f)
     s = _eigenvalues_for(obs, len(a))
-    amps = a.amplitudes
     ds = s[:, None] - s[None, :]
-    kernel = np.exp(-(ds ** 2) / (2.0 * m.delta_f ** 2))
-    pair = np.outer(amps, amps.conj()) * kernel
-    norm = pair.sum()
-    mean_f_num = (pair * (s[:, None] + s[None, :]) * 0.5).sum()
-    mean_l_num = (-1j * m.momentum_variance * pair * ds).sum()
-    return norm, mean_f_num, mean_l_num
+    ds2, s_sum = ds ** 2, s[:, None] + s[None, :]
+    outer = np.outer(a.amplitudes, a.amplitudes.conj())
+    norm, num_f, num_l = np.empty((3, delta_f.size), dtype=complex)
+    step = max(1, _KERNEL_BLOCK // ds.size)
+    for start in range(0, delta_f.size, step):
+        block = slice(start, start + step)
+        with np.errstate(over="ignore"):  # an overflowing exponent: K = 0 or 1
+            pair = outer * np.exp(-ds2 / (2.0 * delta_f[block, None, None] ** 2))
+        norm[block] = pair.sum(axis=(1, 2))
+        num_f[block] = (pair * s_sum * 0.5).sum(axis=(1, 2))
+        num_l[block] = (-1j * variance[block, None, None] * pair * ds).sum(axis=(1, 2))
+    n = _checked_norm(norm)
+    return num_f.real / n, num_l.real / n, n
 
 
-def _checked_norm(norm: complex) -> float:
-    value = norm.real
-    if value <= ZERO_NORM_THRESHOLD:
+def _checked_norm(norm) -> np.ndarray:
+    value = np.real(norm)
+    if np.any(value <= ZERO_NORM_THRESHOLD):
         raise ZeroNorm(
-            f"post-selection weight {value:.3e} underflowed; "
+            f"post-selection weight {np.min(value):.3e} underflowed; "
             "post-selection impossible at this accuracy")
     return value
+
+
+def _weak_momentum(weak: complex, variance):
+    """2 (Im(w) / delta_f^2) from variance = 1/delta_f^2; doubling last keeps 0 at 0."""
+    return 2.0 * (variance * weak.imag)
 
 
 def exact_mean_position(a: PathAmplitudeSet, obs, m: GaussianPointer) -> MeterReadout:
@@ -134,9 +165,8 @@ def exact_mean_position(a: PathAmplitudeSet, obs, m: GaussianPointer) -> MeterRe
     a common phase: the kernel double sum is then real-symmetric and the
     antisymmetric momentum weight cancels pairwise.
     """
-    norm, num_f, num_l = _kernel_moments(a, obs, m)
-    n = _checked_norm(norm)
-    return MeterReadout(mean_f=num_f.real / n, mean_lambda=num_l.real / n, norm=n)
+    mean_f, mean_l, norm = _kernel_moments(a, obs, [m.delta_f])
+    return MeterReadout(mean_f=mean_f[0], mean_lambda=mean_l[0], norm=norm[0])
 
 
 def weak_asymptotics(r: RelativeAmplitudeSet, obs, m: GaussianPointer) -> MeterReadout:
@@ -147,7 +177,7 @@ def weak_asymptotics(r: RelativeAmplitudeSet, obs, m: GaussianPointer) -> MeterR
     """
     wv = weak_value(obs, r)
     return MeterReadout(mean_f=wv.real,
-                        mean_lambda=2.0 * m.momentum_variance * wv.imag,
+                        mean_lambda=_weak_momentum(wv, m.momentum_variance),
                         norm=1.0)
 
 
@@ -208,7 +238,7 @@ def quadrature_moments(a: PathAmplitudeSet, obs, m: GaussianPointer,
         raise GridError(
             f"position/momentum norms disagree ({norm_f:.6e} vs {norm_l:.6e}); "
             "grid span or resolution inadequate")
-    n = _checked_norm(complex(norm_f))
+    n = float(_checked_norm(norm_f))
     mean_f = np.trapezoid(f * rho_f, f) / n
     mean_l = np.trapezoid(lam * rho_l, lam) / norm_l
     return MeterReadout(mean_f=float(mean_f), mean_lambda=float(mean_l), norm=n)

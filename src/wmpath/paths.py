@@ -14,6 +14,7 @@ intact and reads out the relative amplitudes alpha_i = A_i / sum(A).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,16 +82,19 @@ class TransitionSpec:
 
 @dataclass(frozen=True)
 class PathAmplitudeSet:
-    """The N complex path amplitudes A_i together with their sum."""
+    """The N complex path amplitudes A_i together with their sum, all finite."""
 
     amplitudes: np.ndarray
     total: complex
 
     def __init__(self, amplitudes):
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        total = complex(amps.sum())  # non-finite if any A_i is
+        if not cmath.isfinite(total):
+            raise ValueError("path amplitudes and their sum must be finite")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "total", complex(amps.sum()))
+        object.__setattr__(self, "total", total)
 
     def __len__(self) -> int:
         return self.amplitudes.size
@@ -104,7 +108,7 @@ class RelativeAmplitudeSet:
 
     def __init__(self, alphas, tol: float = 1e-10):
         arr = np.asarray(alphas, dtype=complex).reshape(-1)
-        if abs(arr.sum() - 1.0) > tol:
+        if not abs(arr.sum() - 1.0) <= tol:  # NaN or inf in any alpha_i too
             raise ValueError(
                 f"relative amplitudes sum to {arr.sum():.3e}, expected 1")
         arr.setflags(write=False)
@@ -175,11 +179,10 @@ class StrongStatistics:
 
     def __init__(self, omegas):
         w = np.asarray(omegas, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(w)):
-            raise ValueError("probabilities must be finite")
-        if w.min() < -1e-12 or w.max() > 1.0 + 1e-12:
-            raise ValueError("probabilities must lie in [0, 1]")
-        if abs(w.sum() - 1.0) > 1e-10:
+        # each check is written so that NaN and inf fail it
+        if not (-1e-12 <= w.min() and w.max() <= 1.0 + 1e-12):
+            raise ValueError("probabilities must be finite and lie in [0, 1]")
+        if not abs(w.sum() - 1.0) <= 1e-10:
             raise ValueError(f"probabilities sum to {w.sum()}, expected 1")
         w.setflags(write=False)
         object.__setattr__(self, "omegas", w)
@@ -206,10 +209,9 @@ def _half_steps(spec: TransitionSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _project(half_steps: tuple[np.ndarray, np.ndarray],
-             observable: Observable) -> PathAmplitudeSet:
-    """A_i from the two half-step states, in ``observable``'s eigenbasis."""
+             basis: np.ndarray) -> PathAmplitudeSet:
+    """A_i from the two half-step states, one per column |i> of ``basis``."""
     u_phi, u_psi = half_steps
-    basis = observable.eigenvectors
     left = basis.conj().T @ u_phi     # <i|U(-T/2)|phi>
     right = basis.conj().T @ u_psi    # <i|U(T/2)|psi>
     return PathAmplitudeSet(left.conj() * right)
@@ -220,7 +222,7 @@ def path_amplitudes(spec: TransitionSpec) -> PathAmplitudeSet:
     observable, with the evolution applied in two half-steps around T/2."""
     if spec.observable is None:
         raise ValueError("TransitionSpec needs an observable to define paths")
-    return _project(_half_steps(spec), spec.observable)
+    return _project(_half_steps(spec), spec.observable.eigenvectors)
 
 
 def relative_amplitudes(a: PathAmplitudeSet) -> RelativeAmplitudeSet:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .hilbert import HermitianMatrix, Observable, StateVector
-from .paths import TransitionSpec, path_amplitudes, relative_amplitudes
+from .paths import TransitionSpec, _half_steps, _project, relative_amplitudes
 from .tunneling import BarrierSpec, PacketSpec
 
 __all__ = ["DiscreteScenario", "TunnelingScenario", "get_scenario",
@@ -55,17 +55,13 @@ class DiscreteScenario:
                 f"(choose from {sorted(self.observables)})") from None
 
     def verify(self):
-        """Check the hard-coded state pair reproduces the reference alphas.
-
-        Uses a non-degenerate basis-ordered observable so the amplitudes
-        come out indexed by path, not by sorted eigenvalue.
-        """
+        """Check the hard-coded state pair reproduces the reference alphas,
+        projected onto the standard basis so they are indexed by path."""
         if self.reference_alphas is None:
             return
-        n = self.transition.dimension
-        labeler = Observable.from_matrix(np.diag(np.arange(1.0, n + 1.0)))
-        spec = self.transition.with_observable(labeler)
-        alphas = relative_amplitudes(path_amplitudes(spec)).alphas
+        basis = np.eye(self.transition.dimension)
+        alphas = relative_amplitudes(
+            _project(_half_steps(self.transition), basis)).alphas
         if np.abs(alphas - self.reference_alphas).max() > 1e-12:
             raise ConfigError(
                 f"scenario '{self.name}' failed its startup verification: "

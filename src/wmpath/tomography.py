@@ -24,7 +24,7 @@ from .errors import (
     UnreachableTarget,
 )
 from .hilbert import Observable, StateVector, _fix_phase
-from .meter import GaussianPointer, weak_asymptotics
+from .meter import GaussianPointer, _weak_momentum
 from .paths import (
     RelativeAmplitudeSet,
     StrongStatistics,
@@ -33,6 +33,7 @@ from .paths import (
     _normalized_weights,
     _project,
     relative_amplitudes,
+    weak_value,
 )
 
 __all__ = [
@@ -138,14 +139,10 @@ def joint_weak_means(spec: TransitionSpec, battery: MeterBattery) -> JointReadou
     if battery.dimension != spec.dimension:
         raise ValueError("battery dimension does not match the transition")
     half_steps = _half_steps(spec)  # one decomposition of H per battery
-    means_f = []
-    means_l = []
-    for op in battery.operators:
-        alphas = relative_amplitudes(_project(half_steps, op))
-        readout = weak_asymptotics(alphas, op, battery.pointer)
-        means_f.append(readout.mean_f)
-        means_l.append(readout.mean_lambda)
-    return JointReadout(means_f, means_l)
+    alphas = [relative_amplitudes(_project(half_steps, op.eigenvectors))
+              for op in battery.operators]
+    weak = np.array([weak_value(op, a) for op, a in zip(battery.operators, alphas)])
+    return JointReadout(weak.real, _weak_momentum(weak, battery.pointer.momentum_variance))
 
 
 def _weak_values(readout: JointReadout,

@@ -7,6 +7,8 @@ evolution checks are genuinely two-sided.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from wmpath import HermitianMatrix, Observable, StateVector, TransitionSpec
@@ -44,6 +46,21 @@ def spaced_eigenvalues(rng: np.random.Generator, n: int,
     gaps = min_gap + rng.uniform(0.0, 1.0, size=n)
     values = np.cumsum(gaps)
     return values - values.mean()
+
+
+def kernel_readings(amplitudes, values, delta_f: float):
+    """(mean_f, mean_lambda, norm) of the Gaussian pointer at one accuracy,
+    summed pair by pair in plain Python: the loop reference for the
+    library's blocked kernel pass over an accuracy ladder."""
+    norm = num_f = num_l = 0j
+    for a_i, s_i in zip(amplitudes, values):
+        for a_j, s_j in zip(amplitudes, values):
+            pair = (a_i * a_j.conjugate()
+                    * math.exp(-(s_i - s_j) ** 2 / (2.0 * delta_f ** 2)))
+            norm += pair
+            num_f += pair * (s_i + s_j) / 2.0
+            num_l += -1j * pair * (s_i - s_j) / delta_f ** 2
+    return num_f.real / norm.real, num_l.real / norm.real, norm.real
 
 
 def random_transition(rng: np.random.Generator, n: int,

@@ -3,7 +3,25 @@ import json
 import numpy as np
 import pytest
 
-from wmpath.cli import main
+from wmpath import (
+    EigenvaluePartition,
+    GaussianPointer,
+    HermitianMatrix,
+    Observable,
+    StateVector,
+    TransitionSpec,
+    exact_mean_position,
+    group,
+    path_amplitudes,
+    relative_amplitudes,
+    strong_mean,
+    strong_probabilities,
+    weak_asymptotics,
+)
+from wmpath.cli import RunRecord, main
+from wmpath.errors import WmpathError
+from wmpath.meter import _KERNEL_BLOCK
+from wmpath.scenarios import get_scenario
 
 
 def run_cli(capsys, *argv):
@@ -17,6 +35,28 @@ def parse_csv(text):
     header = lines[0].split(",")
     rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
     return header, rows
+
+
+def test_record_names_its_non_finite_column():
+    with pytest.raises(WmpathError, match="'omega_1'"):
+        RunRecord("x", ("group_value_1", "omega_1"), [[1.0, 2.0], [0.0, np.nan]])
+
+
+def per_point_table(transition, observable, ladder):
+    """Sweep rows built one accuracy at a time from the public readings."""
+    amps = path_amplitudes(transition.with_observable(observable))
+    alphas = relative_amplitudes(amps)
+    partition = EigenvaluePartition.from_observable(observable)
+    strong = strong_mean(partition.group_values,
+                         strong_probabilities(group(amps, partition)))
+    rows = []
+    for delta_f in ladder:
+        pointer = GaussianPointer(delta_f)
+        exact = exact_mean_position(amps, observable, pointer)
+        weak = weak_asymptotics(alphas, observable, pointer)
+        rows.append([delta_f, exact.mean_f, exact.mean_lambda, weak.mean_f,
+                     weak.mean_lambda, strong, exact.norm])
+    return rows
 
 
 class TestRun:
@@ -63,6 +103,41 @@ class TestRun:
         for key in header:
             assert data[0][key] == pytest.approx(rows[0][key], rel=1e-15)
 
+    @pytest.mark.parametrize("argv", [
+        ("run", "--scenario", "threebox", "--strong", "P2"),
+        ("run", "--scenario", "cheshire", "--strong", "sigmaL"),
+        ("design", "--psi", "PSI", "--targets", "TARGETS"),
+    ])
+    def test_json_mirrors_csv_columns(self, tmp_path, capsys, argv):
+        psi, targets = tmp_path / "psi.json", tmp_path / "z.json"
+        psi.write_text(json.dumps([1.0, 0.5, [0.0, 1.0], 2.0]))
+        targets.write_text(json.dumps([0.25, [0.5, 0.5], -0.25, [0.5, -0.5]]))
+        argv = [str({"PSI": psi, "TARGETS": targets}.get(a, a)) for a in argv]
+        csv_code, csv_out, _ = run_cli(capsys, *argv, "--no-header-meta")
+        json_code, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert csv_code == json_code == 0
+        header, rows = parse_csv(csv_out)
+        data = json.loads(json_out)
+        assert [list(row) for row in data] == [header] * len(rows)
+        assert [list(row.values()) for row in data] == [
+            [row[key] for key in header] for row in rows]
+
+    def test_tiny_delta_f_exits_2(self, capsys):
+        # 1/delta_f^2 overflows: once an uncaught ZeroDivisionError (exit 1)
+        code, out, err = run_cli(capsys, "run", "--scenario", "spin100",
+                                 "--delta-f", "1e-300")
+        assert code == 2 and out == ""
+        assert "ValueError" in err and "7.5e-155" in err
+
+    def test_huge_delta_f_reads_weak_limit(self, capsys):
+        # delta_f^2 overflows: once an uncaught OverflowError (exit 1)
+        code, out, err = run_cli(capsys, "run", "--scenario", "spin100",
+                                 "--delta-f", "1e200", "--no-header-meta")
+        assert code == 0 and not err
+        row = parse_csv(out)[1][0]
+        assert row["mean_f_exact"] == pytest.approx(row["mean_f_weak_asym"])
+        assert row["mean_lambda_weak_asym"] == 0.0
+
     def test_unknown_scenario_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "run", "--config", "/nonexistent.json")
         assert code == 2
@@ -106,6 +181,20 @@ class TestSweep:
                                "--points", "1")
         assert code == 2 and "ConfigError" in err
 
+    def test_infinite_max_rejected_before_the_ladder(self, capsys):
+        # np.geomspace(1, inf) once warned before the ladder was refused
+        code, out, err = run_cli(capsys, "sweep", "--scenario", "spin100",
+                                 "--delta-f-min", "1", "--delta-f-max", "inf",
+                                 "--points", "3", "--log")
+        assert code == 2 and out == ""
+        assert "ConfigError" in err
+
+    def test_tiny_ladder_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "--scenario", "spin100",
+                               "--delta-f-min", "1e-300", "--delta-f-max", "1",
+                               "--points", "3")
+        assert code == 2 and "ValueError" in err
+
     def test_amplitudes_computed_once_per_ladder(self, capsys, monkeypatch):
         import wmpath.cli
 
@@ -118,6 +207,49 @@ class TestSweep:
                                "--points", "7", "--no-header-meta")
         assert code == 0 and len(parse_csv(out)[1]) == 7
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["spin100", "cheshire", "threebox"])
+    def test_rows_match_per_point_readings(self, capsys, name):
+        # the one-pass ladder gives the bytes of per-point public readings
+        scenario = get_scenario(name)
+        observable = scenario.observable()
+        code, out, _ = run_cli(capsys, "sweep", "--scenario", name,
+                               "--delta-f-min", "1e-3", "--delta-f-max", "1e3",
+                               "--points", "61", "--log", "--no-header-meta")
+        assert code == 0
+        lines = out.splitlines()[1:]
+        expected = per_point_table(scenario.transition, observable,
+                                   [float(line.split(",")[0]) for line in lines])
+        assert lines == [",".join(f"{x:.16e}" for x in row) for row in expected]
+
+    def test_dense_rows_match_per_point_readings(self, tmp_path, capsys):
+        # N = 64 dense custom observable over a ladder of several kernel blocks
+        n = 64
+        rng = np.random.default_rng(64)
+        raw = {key: rng.normal(size=n) + 1j * rng.normal(size=n)
+               for key in ("psi", "phi")}
+        h, s = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                for _ in range(2))
+        raw["hamiltonian"], raw["observable"] = h + h.conj().T, s + s.conj().T
+        config = {key: np.stack([v.real, v.imag], axis=-1).tolist()
+                  for key, v in raw.items()}
+        config.update(name="custom", total_time=0.8)
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(config))
+        points = 3 * (_KERNEL_BLOCK // n ** 2) + 5
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(path),
+                               "--delta-f-min", "0.05", "--delta-f-max", "50",
+                               "--points", str(points), "--log",
+                               "--no-header-meta")
+        assert code == 0
+        _, rows = parse_csv(out)
+        got = np.array([list(row.values()) for row in rows])
+        transition = TransitionSpec(StateVector(raw["psi"]), StateVector(raw["phi"]),
+                                    HermitianMatrix(raw["hamiltonian"]), 0.8)
+        expected = np.array(per_point_table(
+            transition, Observable.from_matrix(raw["observable"]), got[:, 0]))
+        assert got.shape == (points, 7)
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
 
     def test_determinism_byte_identical(self, capsys):
         args = ("sweep", "--scenario", "threebox", "--delta-f-min", "0.5",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,9 @@ from wmpath import (
     weak_asymptotics,
 )
 from wmpath.errors import GridError
+from wmpath.meter import _KERNEL_BLOCK, _kernel_moments
 
-from helpers import random_transition
+from helpers import kernel_readings, random_transition
 
 SIGMA_Z_VALUES = np.array([1.0, -1.0])
 
@@ -48,6 +51,18 @@ def test_momentum_constant_against_quadrature():
         # position profile is unit-norm too
         f = np.linspace(-40.0 * delta_f, 40.0 * delta_f, 1 << 15)
         assert np.trapezoid(pointer.profile(f) ** 2, f) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_accuracy_limits():
+    # 1/delta_f^2 must be finite: 1e-300 once passed and then divided by 0
+    with pytest.raises(ValueError, match="7.5e-155"):
+        GaussianPointer(1e-300)
+    pointer = GaussianPointer(7.5e-155)
+    # 2 / delta_f^2 overflows at this width; a real weak value still reads 0
+    alphas = relative_amplitudes(PathAmplitudeSet([0.5, 0.5]))
+    assert weak_asymptotics(alphas, [1.0, -1.0], pointer).mean_lambda == 0.0
+    # delta_f^2 overflows to the weak limit instead of raising OverflowError
+    assert GaussianPointer(1e200).momentum_variance == 0.0
 
 
 class TestPointerAmplitudes:
@@ -135,6 +150,30 @@ class TestExactMeans:
         target = np.sum(SIGMA_Z_VALUES * alpha.imag)
         assert target == pytest.approx(1.0, abs=1e-14)
         assert readout.mean_lambda * delta_f ** 2 / 2 == pytest.approx(target, abs=1e-3)
+
+    def test_ladder_matches_pairwise_loop(self):
+        # N = 64 over a ladder of several kernel blocks, from strong to weak
+        rng = np.random.default_rng(27)
+        amps = PathAmplitudeSet(rng.normal(size=64) + 1j * rng.normal(size=64))
+        values = np.sort(rng.normal(size=64))
+        ladder = np.geomspace(0.01, 100.0, 3 * (_KERNEL_BLOCK // 64 ** 2) + 5)
+        got = np.column_stack(_kernel_moments(amps, values, ladder))
+        expected = [kernel_readings(amps.amplitudes, values, d) for d in ladder]
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    def test_ladder_memory_is_flat(self):
+        # the kernel runs in blocks, so a 10x longer ladder allocates
+        # about the same peak; one (P, N, N) array would need 10x
+        rng = np.random.default_rng(26)
+        amps = PathAmplitudeSet(rng.normal(size=32) + 1j * rng.normal(size=32))
+        values = np.sort(rng.normal(size=32))
+        peaks = []
+        for points in (100, 1000):
+            tracemalloc.start()
+            _kernel_moments(amps, values, np.geomspace(0.01, 100.0, points))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
     def test_zero_norm_raises(self):
         # a transition with no amplitude at all leaves the meter nothing to

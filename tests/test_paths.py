@@ -9,6 +9,7 @@ from wmpath import (
     Observable,
     OrthogonalPostselection,
     PathAmplitudeSet,
+    RelativeAmplitudeSet,
     StateVector,
     StrongStatistics,
     TransitionSpec,
@@ -140,6 +141,18 @@ class TestRelativeAmplitudes:
         with pytest.raises(OrthogonalPostselection):
             relative_amplitudes(path_amplitudes(spec))
 
+    def test_nan_alpha_rejected(self):
+        # abs(nan - 1) > tol is False, so a NaN once passed the sum check
+        with pytest.raises(ValueError):
+            RelativeAmplitudeSet([np.nan, 1.0])
+
+    def test_infinite_amplitude_rejected(self):
+        # inf / inf once gave alphas [nan, 0]
+        with pytest.raises(ValueError):
+            relative_amplitudes(PathAmplitudeSet([np.inf, 1.0]))
+        with pytest.raises(ValueError):
+            PathAmplitudeSet([1.0, complex(0.0, np.nan)])
+
 
 class TestGrouping:
     def test_cheshire_occupation_grouping(self):
@@ -239,6 +252,11 @@ class TestStrongStatistics:
 
 
 class TestWeakValue:
+    def test_nan_alpha_gives_no_weak_value(self):
+        # once returned nan+nanj
+        with pytest.raises(ValueError):
+            weak_value([1.0, 2.0], RelativeAmplitudeSet([np.nan, 1.0]))
+
     def test_spin100_reads_one_hundred(self):
         alphas = relative_amplitudes(path_amplitudes(spin100_spec()))
         value = weak_value([1.0, -1.0], alphas)
