@@ -14,6 +14,7 @@ from .errors import (
     ConvergenceError,
     GridError,
     InconsistentReadout,
+    MomentumUnderflow,
     OrthogonalPostselection,
     SingularFamily,
     TargetSumViolation,

@@ -34,6 +34,11 @@ class ZeroNorm(WmpathError):
     """Post-selection success weight underflowed; no meter statistics."""
 
 
+class MomentumUnderflow(WmpathError):
+    """Momentum readings 2 Im(w) / delta_f^2 underflow at this pointer
+    width, so weak values cannot be read back from them."""
+
+
 class SingularFamily(WmpathError):
     """The operator family's eigenvalue matrix is rank deficient."""
 

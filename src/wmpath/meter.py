@@ -61,14 +61,16 @@ class GaussianPointer:
     def profile(self, f):
         """Initial pointer wave function G(f)."""
         f = np.asarray(f, dtype=float)
-        return (_G0_PREFACTOR / np.sqrt(self.delta_f)
-                * np.exp(-(f / self.delta_f) ** 2))
+        with np.errstate(over="ignore"):  # (f / delta_f)^2 = inf: G = 0
+            return (_G0_PREFACTOR / np.sqrt(self.delta_f)
+                    * np.exp(-(f / self.delta_f) ** 2))
 
     def momentum_profile(self, lam):
         """Fourier transform G(lambda) of the initial profile."""
         lam = np.asarray(lam, dtype=float)
-        return (_G0_PREFACTOR * np.sqrt(self.delta_f / 2.0)
-                * np.exp(-(lam * self.delta_f) ** 2 / 4.0))
+        with np.errstate(over="ignore"):  # (lambda delta_f)^2 = inf: G = 0
+            return (_G0_PREFACTOR * np.sqrt(self.delta_f / 2.0)
+                    * np.exp(-(lam * self.delta_f) ** 2 / 4.0))
 
     @property
     def momentum_variance(self) -> float:

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     AllZeroAmplitudes,
     InconsistentReadout,
+    MomentumUnderflow,
     SingularFamily,
     TargetSumViolation,
     UnreachableTarget,
@@ -51,6 +52,7 @@ __all__ = [
 CONDITION_LIMIT = 1e12
 READOUT_SUM_TOL = 1e-6
 TARGET_SUM_TOL = 1e-10
+_TINY = np.finfo(float).tiny  # smallest normal float
 
 
 @dataclass(frozen=True)
@@ -148,8 +150,17 @@ def joint_weak_means(spec: TransitionSpec, battery: MeterBattery) -> JointReadou
 def _weak_values(readout: JointReadout,
                  pointer: GaussianPointer) -> np.ndarray:
     """f_j + i (delta_f^2 / 2) Lambda_j: each meter's weak value
-    sum_i S^(j)_i alpha^(j)_i, read back from its two mean readings."""
-    return readout.mean_f + 0.5j * pointer.delta_f ** 2 * readout.mean_lambda
+    sum_i S^(j)_i alpha^(j)_i, read back from its two mean readings.
+
+    Raises :class:`MomentumUnderflow` where 1/delta_f^2 or a momentum
+    reading is subnormal: Lambda = 2 Im(w) / delta_f^2 has lost Im(w).
+    """
+    variance, lam = pointer.momentum_variance, readout.mean_lambda
+    if variance < _TINY or ((lam != 0.0) & (np.abs(lam) < _TINY)).any():
+        raise MomentumUnderflow(
+            f"momentum readings underflow at delta_f = {pointer.delta_f:.3e}; "
+            "Im alpha cannot be recovered")
+    return readout.mean_f + 1j * (lam / (2.0 * variance))
 
 
 def reconstruct_alphas(readout: JointReadout,

@@ -188,12 +188,23 @@ _MIN_NODES = 1 << 14
 _TAIL_EFOLDS = 16.0  # resonance-tail e-folds the default reach holds
 _MIN_CYCLES = 50     # carrier cycles per box; the step moves <= 1/(2 cycles)
 
+# Split of the shift spectrum by W = exp(-(k/k_c)^16) (see
+# :func:`shift_amplitudes`): W < e^-40 beyond 40^(1/16) k_c = 1.26 k_c.
+# k_c >= 8 k_th leaves 1 - W = 8^-16 of the first resonance, whose tail
+# would leave the fine window, in the remainder; k_c >= 64/d lets the
+# kernel of W fall to ~1e-15 over the 4d left of x = 0, where the short
+# box wraps round.
+_SPLIT_EDGE = 40.0 ** (1.0 / 16.0)
+_SPLIT_THRESHOLDS = 8.0
+_SPLIT_WIDTHS = 64.0
+_WINDOW_REACH = 8.0  # fine window [-4d, 8d]: the remainder has died out
+
 
 @dataclass(frozen=True)
 class ShiftGrid:
-    """Grid request for the shift-amplitude synthesis.
+    """Reference lattice of the shift-amplitude synthesis: box and step.
 
-    The grid starts at -4d and reaches at least +8d.  A field left ``None``
+    The box starts at -4d and reaches at least +8d.  A field left ``None``
     is sized from the problem.  The delay-side reach must hold the slow
     tail of A(x), which comes from the first above-barrier transmission
     resonance (k' d = pi): its pole at Im k = -2 pi^2 / (k_th^2 d^3) makes
@@ -202,8 +213,8 @@ class ShiftGrid:
     (>= 2^14) covering that span, and at least 50 carrier cycles, at the
     step of the 2^21-node grid reaching 6000, so ``leakage`` keeps its
     value; barriers wide enough to need the cap get that grid itself.
-    Explicit values are used as given; ``nodes`` must be a power of two
-    for the FFT.
+    Explicit values are used as given; ``nodes`` must be a power of two,
+    so that the coarse grids of :func:`shift_amplitudes` divide it.
     """
 
     x_max_absolute: float | None = None  # delay-side reach, absolute units
@@ -217,10 +228,18 @@ class ShiftGrid:
 
 @dataclass(frozen=True)
 class ShiftDistribution:
-    """Shift amplitudes A(x') on a uniform grid, plus diagnostics.
+    """Shift amplitudes A(x') on a two-step grid, plus diagnostics.
 
-    ``relative`` holds alpha(x') = A(x') / integral(A); ``leakage`` is the
-    |A| mass fraction found at x < 0, which would vanish for the exact
+    ``x_grid`` holds the fine window from -4d to past 8d at the reference
+    step, then the coarse nodes of the resonance tail (the whole box at
+    the reference step where :func:`shift_amplitudes` takes one piece).
+    ``weights`` are the nodes' quadrature weights: the step on each side
+    and their mean at the node where the two meet, so ``sum(weights * f)``
+    integrates a smooth f such as |A|.  ``total`` is integral(A), the exact
+    lattice sums of the pieces; A itself oscillates at the carrier across
+    the junction, so its weighted sum only approximates it.
+    ``relative`` holds alpha(x') = A(x') / total; ``leakage`` is the |A|
+    mass fraction found at x < 0, which would vanish for the exact
     continuum object and so measures the synthesis quality.
     """
 
@@ -229,45 +248,44 @@ class ShiftDistribution:
     relative: np.ndarray
     total: complex
     leakage: float
+    weights: np.ndarray
 
     @property
     def step(self) -> float:
         return float(self.x_grid[1] - self.x_grid[0])
 
 
-def _synthesize(b: BarrierSpec, p: float, x_lo: float, x_hi: float,
-                nodes: int, window_width: float | None):
-    """FFT synthesis of A(x) = (2pi)^(-1/2) e^{ipx} int W(k) T(k) e^{-ikx} dk.
+def _momenta(nodes: int, dx: float) -> np.ndarray:
+    """kappa = 2 pi fftfreq(nodes, dx), a box's momentum lattice in FFT order."""
+    return 2.0 * np.pi * np.fft.fftfreq(nodes, d=dx)
 
-    The box length is nudged so the mean momentum p sits exactly on the
-    reciprocal lattice, which makes the discrete sum rule
-    sum_j A_j dx = sqrt(2 pi) W(p) T(p) an identity rather than an
-    approximation.  The spectrum is W T; with no window, (T - 1) is instead
-    tapered to zero at the lattice edge so the periodization has no seam.
+
+def _synthesize(spectrum: np.ndarray, dx: float, j_zero: int,
+                unit: float = 0.0):
+    """FFT synthesis of A(x) = (2pi)^(-1/2) e^{ipx} int S(k) e^{-ikx} dk.
+
+    S = unit + ``spectrum``, the latter sampled at k = p + kappa, kappa
+    from :func:`_momenta` for a box of ``spectrum.size`` nodes at step dx.
+    The constant's transform, a delta at x = 0, is added exactly instead
+    of being rounded through the FFT.  On this lattice the carrier e^{ipx}
+    cancels and p is a node, which makes the discrete sum rule
+    sum_j A_j dx = sqrt(2 pi) S(p) an identity rather than an
+    approximation.  The nodes are x_j = (j - j_zero) dx, so the phase of
+    the first is an exact index roll.  The FFT runs in the precision of
+    ``spectrum``.
     """
-    span = x_hi - x_lo
-    cycles = max(1, round(p * span / (2.0 * np.pi)))
-    length = 2.0 * np.pi * cycles / p
-    dx = length / nodes
-    j_zero = round(-x_lo / dx)
+    nodes = spectrum.size
     x = (np.arange(nodes) - j_zero) * dx
-
-    k = 2.0 * np.pi * np.fft.fftfreq(nodes, d=dx)
-    # T(-k) = conj T(k): evaluate on k >= 0 (Nyquist included), mirror the rest
-    half = nodes // 2
-    t_half = transmission_amplitude(b, np.abs(k[:half + 1]))
-    t_k = np.concatenate((t_half[:half], t_half[half:0:-1].conj()))
-    if window_width is None:
-        taper = np.exp(-((np.abs(k) / (0.85 * (np.pi / dx))) ** 24))
-        spectrum = 1.0 + (t_k - 1.0) * taper
-    else:
-        spectrum = t_k * np.exp(-0.25 * ((k - p) * window_width) ** 2)
-
-    # p is lattice frequency `cycles` and x[0] is -j_zero steps, so the
-    # factors e^{ipx} and e^{-ik x[0]} are exact index rolls of the arrays
-    a = np.roll(np.fft.fft(np.roll(spectrum, -cycles)), j_zero)
-    a *= (2.0 * np.pi / length) / np.sqrt(2.0 * np.pi)
+    a = np.fft.fft(spectrum)
+    a[0] += unit * nodes
+    a = np.roll(a, j_zero)
+    a *= (2.0 * np.pi / (nodes * dx)) / np.sqrt(2.0 * np.pi)
     return x, a, dx
+
+
+def _box(p: float, span: float) -> float:
+    """Box length near ``span`` whose momentum lattice through 0 holds p."""
+    return 2.0 * np.pi * max(1, round(p * span / (2.0 * np.pi))) / p
 
 
 def _layout(b: BarrierSpec, p: float,
@@ -282,9 +300,8 @@ def _layout(b: BarrierSpec, p: float,
         x_hi = max(floor, min(_TAIL_EFOLDS * tail, _LEAKAGE_REACH))
     if grid.nodes is not None:
         return x_lo, x_hi, grid.nodes
-    # step of the ceiling grid once _synthesize has put p on its lattice
-    cycles = max(1, round(p * (max(x_hi, _LEAKAGE_REACH) - x_lo) / (2.0 * np.pi)))
-    step = 2.0 * np.pi * cycles / (p * _LEAKAGE_NODES)
+    # step of the ceiling grid once its box holds p on its lattice
+    step = _box(p, max(x_hi, _LEAKAGE_REACH) - x_lo) / _LEAKAGE_NODES
     span = max(x_hi - x_lo, 2.0 * np.pi * _MIN_CYCLES / p)
     nodes = _LEAKAGE_NODES
     while nodes > _MIN_NODES and (nodes // 2) * step >= span:
@@ -292,9 +309,8 @@ def _layout(b: BarrierSpec, p: float,
     return x_lo, x_lo + nodes * step, nodes
 
 
-def _checked_total(a: np.ndarray, dx: float, t_p: complex) -> complex:
+def _checked_total(total: complex, t_p: complex) -> complex:
     """integral A dx, checked against the sum rule sqrt(2 pi) T(p)."""
-    total = complex(a.sum() * dx)
     target = np.sqrt(2.0 * np.pi) * t_p
     if not abs(total - target) <= 1e-6 * abs(target):
         raise GridError(
@@ -303,27 +319,115 @@ def _checked_total(a: np.ndarray, dx: float, t_p: complex) -> complex:
     return total
 
 
+def _eighth(u: np.ndarray) -> np.ndarray:
+    """u^8 by three squarings; ``u ** 8`` takes a pow() ten times slower."""
+    return np.square(np.square(np.square(u)))
+
+
+def _fft_size(n: int) -> int:
+    """Smallest 2^j or 3 2^j >= n: FFT lengths numpy runs at full speed."""
+    top = 1 << (n - 1).bit_length()
+    return 3 * top // 4 if 3 * top // 4 >= n else top
+
+
+def _edge_piece(b: BarrierSpec, p: float, dx: float, j_zero: int,
+                nodes: int, k_c: float | None):
+    """``(x, A)`` of S - T W on a box of ``nodes`` reference nodes from x_0.
+
+    S = 1 + (T - 1) taper, the taper closing T - 1 at the lattice edge;
+    ``k_c=None`` means W = 0.  The FFT takes S - T W - 1, whose rounding
+    is then about ten times less, and adds the 1 exactly.
+    """
+    k = p + _momenta(nodes, dx)
+    closing = np.expm1(-_eighth(k / (0.85 * (np.pi / dx))) ** 3)   # taper - 1
+    cut = -1.0 if k_c is None else np.expm1(-_eighth(k / k_c) ** 2)  # W - 1
+    rest = transmission_amplitude(b, k) * (closing - cut) - (closing + 1.0)
+    x, a, _ = _synthesize(rest, dx, j_zero, unit=1.0)
+    return x, a
+
+
 def shift_amplitudes(b: BarrierSpec, p: float,
                      grid: ShiftGrid | None = None) -> ShiftDistribution:
     """Decompose the transmission into envelope-shift sub-amplitudes.
 
     Satisfies the sum rule integral A dx = sqrt(2 pi) T(p) and confines its
     weight to x >= 0 up to the reported leakage.  ``grid=None`` means
-    ``ShiftGrid()``, a grid sized from the barrier and p at the step
-    ``leakage`` is defined on (see :class:`ShiftGrid`): 2^18 nodes instead
-    of 2^21 at d = 2, p = 0.8 (V = mu = 1).
+    ``ShiftGrid()``, a reference lattice sized from the barrier and p at
+    the step ``leakage`` is defined on (see :class:`ShiftGrid`).
+
+    A is that lattice's synthesis of S = 1 + (T - 1) taper, split by
+    W = exp(-(k/k_c)^16) into two pieces of which neither needs the fine
+    step over the whole box:
+
+    * T W holds the slow resonance tail, but W cuts it off beyond 1.26 k_c.
+      Its FFT on a coarse grid of the same box gives the tail, and a
+      chirp-z transform (:func:`_chirp_z`) of the same momenta gives it
+      exactly on the fine window [-4d, 8d].
+    * S - T W holds the sharp edge at x = 0 and has died out by 8d.  Its
+      FFT runs on a short box from -4d at the reference step, so its nodes
+      are reference nodes.
+
+    ``total`` adds the two pieces' lattice sums, each an identity.  Where
+    the window would span the box, or the band of T W half the lattice (a
+    barrier narrower than about 0.15 at the default step), S takes one FFT
+    over the whole box instead.
     """
     if grid is None:
         grid = ShiftGrid()
     if p <= 0:
         raise ValueError("mean momentum must be positive")
     x_lo, x_hi, nodes = _layout(b, p, grid)
-    x, a, dx = _synthesize(b, p, x_lo, x_hi, nodes, window_width=None)
-    total = _checked_total(a, dx, transmission_amplitude(b, p))
-    mass = float(np.abs(a).sum() * dx)
-    leakage = float(np.abs(a[x < 0.0]).sum() * dx / mass)
+    length = _box(p, x_hi - x_lo)
+    dx, dk = length / nodes, 2.0 * np.pi / length
+    j_zero = round(-x_lo / dx)
+    t_p = transmission_amplitude(b, p)
+    k_c = max(_SPLIT_THRESHOLDS * b.threshold_momentum, _SPLIT_WIDTHS / b.width)
+    edge = _SPLIT_EDGE * k_c
+    # coarse grid: the fewest nodes whose lattice through p spans the band
+    # |k| <= edge; the fine window holds nodes 0..last, a coarse node past 8d
+    coarse = nodes
+    while 0.25 * coarse * dk > edge + p:
+        coarse //= 2
+    stride = nodes // coarse
+    reach = int(np.ceil(_WINDOW_REACH * b.width / dx))
+    last = j_zero + stride * -(-reach // stride)
+    first = (last - j_zero % stride) // stride + 1  # first coarse tail node
+    if stride == 1 or first >= coarse:
+        x, a = _edge_piece(b, p, dx, j_zero, nodes, None)
+        weights = np.full(nodes, dx)
+        total = _checked_total(complex(a.sum() * dx), t_p)
+    else:
+        k = p + _momenta(coarse, stride * dx)
+        low = transmission_amplitude(b, k) * np.exp(-_eighth(k / k_c) ** 2)
+        # both lattice sums in long double, and T W's FFT too: the rounding
+        # of its O(1) spectrum in double takes most of the sum rule's
+        # 1e-6 |T(p)| near d = 19 (V = mu = 1, p = 0.8)
+        x_c, a_c, dx_c = _synthesize(low.astype(np.clongdouble), stride * dx,
+                                     j_zero // stride)
+        x_s, a_s = _edge_piece(b, p, dx, j_zero, _fft_size(last + 1), k_c)
+
+        # T W on the window: sum_n low_n e^{-i n dk x_m} over the band, with
+        # x_m = (m - j_zero) dx and dk dx = 2 pi / nodes; the integer phases
+        # are reduced mod nodes so that they stay exact
+        band = np.arange(-int(edge / dk), int(edge / dk) + 1) - round(p / dk)
+        m = np.arange(last + 1)
+        values = low[band % coarse] * np.exp(2j * np.pi * (band * j_zero % nodes) / nodes)
+        window = _chirp_z(values[::-1], dk * np.arange(band.size), dx * m)
+        window *= np.exp(-2j * np.pi * (band[-1] * m % nodes) / nodes)
+        window *= dk / np.sqrt(2.0 * np.pi)
+        window += a_s[:last + 1]
+
+        x = np.concatenate((x_s[:last + 1], x_c[first:]))
+        a = np.concatenate((window, a_c[first:].astype(complex)))
+        weights = np.full(x.size, dx_c)
+        weights[:last] = dx
+        weights[last] = 0.5 * (dx + dx_c)
+        total = _checked_total(
+            complex(a_c.sum() * dx_c + a_s.astype(np.clongdouble).sum() * dx), t_p)
+    mass = np.abs(a) * weights
+    leakage = float(mass[x < 0.0].sum() / mass.sum())
     return ShiftDistribution(x_grid=x, amplitudes=a, relative=a / total,
-                             total=total, leakage=leakage)
+                             total=total, leakage=leakage, weights=weights)
 
 
 def _log_derivative(b: BarrierSpec, p: float) -> complex:
@@ -393,9 +497,19 @@ def weak_shift(b: BarrierSpec, p: float) -> tuple[float, float]:
     gap = min(p, b.threshold_momentum - p) if b.height > 0 else p
     probe_width = max(16.0 / gap, 4.0 * b.width)
     x_lo = -12.0 * probe_width
-    x_hi = 12.0 * probe_width + 12.0 * b.width
-    x, a, dx = _synthesize(b, p, x_lo, x_hi, 1 << 17, window_width=probe_width)
-    total = _checked_total(a, dx, t_p)
+    length = _box(p, 24.0 * probe_width + 12.0 * b.width)
+    # the window confines the spectrum to |k - p| < 16 / probe_width
+    nodes = 1 << 12
+    while np.pi * nodes / length <= 2.0 * (p + 16.0 / probe_width):
+        nodes *= 2
+    dx = length / nodes
+    k = p + _momenta(nodes, dx)
+    # centred on the rounded k that T sees: the first moment moves by
+    # about w^2 times any offset between the two
+    spectrum = (transmission_amplitude(b, k)
+                * np.exp(-0.25 * ((k - p) * probe_width) ** 2))
+    x, a, dx = _synthesize(spectrum, dx, round(-x_lo / dx))
+    total = _checked_total(complex(a.sum() * dx), t_p)
     from_integral = float((complex(np.sum(x * a)) * dx / total).real)
     return from_integral, phase_derivative(b, p)
 

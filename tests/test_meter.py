@@ -65,6 +65,13 @@ def test_accuracy_limits():
     assert GaussianPointer(1e200).momentum_variance == 0.0
 
 
+def test_profiles_vanish_without_overflow():
+    # (f / delta_f)^2 and (lambda delta_f)^2 overflow at the two ends of the
+    # accepted widths: the profiles are 0 there, without a RuntimeWarning
+    assert GaussianPointer(1e-154).profile(2.0) == 0.0
+    assert GaussianPointer(1e200).momentum_profile(1.0) == 0.0
+
+
 class TestPointerAmplitudes:
     def test_single_path_is_shifted_profile(self):
         pointer = GaussianPointer(0.7)

@@ -9,6 +9,7 @@ from wmpath import (
     InconsistentReadout,
     JointReadout,
     MeterBattery,
+    MomentumUnderflow,
     Observable,
     RelativeAmplitudeSet,
     SingularFamily,
@@ -113,6 +114,36 @@ class TestReconstructAlphas:
         recovered = reconstruct_alphas(joint, pointer)
         expected = relative_amplitudes(path_amplitudes(spec)).alphas
         assert np.abs(recovered.alphas - expected).max() < 1e-10
+
+    def test_wide_pointer_reads_back_im_alpha(self):
+        # delta_f^2 = 1e200 still fits a float; 2 Im(w) / delta_f^2 ~ 1e-200
+        rng = np.random.default_rng(32)
+        spec = random_transition(rng, 3, with_dynamics=False)
+        pointer = GaussianPointer(1e100)
+        joint = joint_weak_means(spec, projector_battery(spec.observable, pointer))
+        expected = relative_amplitudes(path_amplitudes(spec)).alphas
+        recovered = reconstruct_alphas(joint, pointer).alphas
+        assert np.abs(recovered - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("delta_f", [1e155, 1e200])
+    def test_underflowing_momenta_raise(self, delta_f):
+        # 1/delta_f^2 is subnormal (1e155) or 0 (1e200): the momentum
+        # readings have lost Im(alpha); squaring delta_f once overflowed
+        rng = np.random.default_rng(33)
+        spec = random_transition(rng, 3, with_dynamics=False)
+        pointer = GaussianPointer(delta_f)
+        battery = projector_battery(spec.observable, pointer)
+        joint = joint_weak_means(spec, battery)
+        with pytest.raises(MomentumUnderflow):
+            reconstruct_alphas(joint, pointer)
+        with pytest.raises(MomentumUnderflow):
+            reconstruct_from_operator_family(joint, battery, basis=spec.observable)
+
+    def test_subnormal_momentum_reading_raises(self):
+        # 1/delta_f^2 = 1e-300 is normal, a reading of 1e-310 is not
+        with pytest.raises(MomentumUnderflow):
+            reconstruct_alphas(JointReadout([0.5, 0.5], [1e-310, -1e-310]),
+                               GaussianPointer(1e150))
 
     def test_corrupted_readout_rejected(self):
         readout = JointReadout([0.7, 0.7], [0.0, 0.0])  # sums to 1.4

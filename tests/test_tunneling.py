@@ -18,7 +18,8 @@ from wmpath import tunneling
 from wmpath.errors import GridError
 from wmpath.tunneling import _chirp_z
 
-from helpers import barrier_amplitudes, barrier_log_derivative
+from helpers import (barrier_amplitudes, barrier_log_derivative,
+                     full_lattice_shift, windowed_delay)
 
 OPAQUE = BarrierSpec(height=1.0, width=10.0, mass=1.0)
 FREE = BarrierSpec(height=0.0, width=10.0, mass=1.0)
@@ -135,6 +136,15 @@ class TestShiftAmplitudes:
                                                      nodes=1 << 21))
         assert np.array_equal(sized.amplitudes, full.amplitudes)
 
+    @pytest.mark.parametrize("width", [19.0, 19.25, 19.5, 19.75, 20.0])
+    def test_opaque_barriers_keep_the_sum_rule(self, width):
+        # |T| = 1.1e-9 to 3.5e-10: the one-FFT synthesis rounded past
+        # 1e-6 |T| from d = 19.25; long-double sums and the delta at x = 0
+        # kept out of the FFT hold it to 4e-7 here
+        b = BarrierSpec(1.0, width)
+        target = np.sqrt(2.0 * np.pi) * transmission_amplitude(b, P)
+        assert abs(shift_amplitudes(b, P).total - target) < 1e-6 * abs(target)
+
     def test_support_on_nonnegative_shifts(self):
         # no poles in the upper half k-plane: nothing outruns instantaneous
         # traversal, so (numerical dust aside) all weight sits at x >= 0
@@ -158,7 +168,84 @@ class TestShiftAmplitudes:
             ShiftGrid(nodes=1 << 10)
 
 
+class TestTwoScaleSynthesis:
+    """``shift_amplitudes`` against one FFT over its whole reference lattice.
+
+    Nothing else checks ``leakage`` to this precision: the CLI reports it,
+    and the acceptance tests only bound it.  At d = 19 only p = 1.3 is
+    taken: at p = 0.2, |T| = 4e-12 is past the rounding floor of the sum
+    rule.
+    """
+
+    @pytest.mark.parametrize("height, width, p", [
+        *[(1.0, d, p) for d in (1.0, 2.0, 3.2, 5.0, 8.0, 10.0, 12.0, 15.0)
+          for p in (0.2, 1.3)],
+        (1.0, 19.0, 1.3),
+        (0.25, 2.0, 0.2), (0.25, 8.0, 0.6), (4.0, 2.0, 0.2), (4.0, 12.0, 2.5),
+    ])
+    def test_matches_the_full_lattice(self, height, width, p):
+        b = BarrierSpec(height, width)
+        dist = shift_amplitudes(b, p)
+        x, a, _, leakage = full_lattice_shift(b, p)
+        # every node is a lattice node: the fine window is the lattice's
+        # first nodes, the tail a sub-lattice of it
+        index = np.searchsorted(x, dist.x_grid)
+        assert np.array_equal(x[index], dist.x_grid)
+        gaps = np.flatnonzero(np.diff(index) > 1)
+        window = gaps[0] + 1 if gaps.size else index.size
+        assert np.array_equal(index[:window], np.arange(window))
+        assert dist.x_grid.size < x.size / 4
+        assert (np.abs(dist.amplitudes - a[index]).max()
+                < 1e-8 * np.abs(a).max())
+        assert dist.leakage == pytest.approx(leakage, rel=1e-4)
+        target = np.sqrt(2.0 * np.pi) * transmission_amplitude(b, p)
+        assert abs(dist.total - target) < 1e-6 * abs(target)
+
+    @pytest.mark.parametrize("width", [0.02, 0.05])
+    def test_narrow_barrier_takes_the_whole_box(self, width):
+        # the band of T W, 1.26 k_c = 80 / d, would pass half the
+        # lattice's momenta: S takes one FFT over the whole box
+        b = BarrierSpec(1.0, width)
+        dist = shift_amplitudes(b, 1.2)
+        x, a, _, leakage = full_lattice_shift(b, 1.2)
+        assert np.array_equal(dist.x_grid, x)
+        assert np.abs(dist.amplitudes - a).max() < 1e-8 * np.abs(a).max()
+        assert dist.leakage == pytest.approx(leakage, rel=1e-4)
+
+    def test_weights_are_the_steps_of_the_two_grids(self):
+        dist = shift_amplitudes(OPAQUE, P)
+        steps = np.diff(dist.x_grid)
+        junction = np.argmax(steps > 1.5 * dist.step)
+        fine, coarse = steps[0], steps[junction]
+        assert np.allclose(steps[:junction], fine, rtol=1e-9)
+        assert np.allclose(steps[junction:], coarse, rtol=1e-9)
+        assert np.allclose(dist.weights[:junction], fine, rtol=1e-9)
+        assert dist.weights[junction] == pytest.approx(0.5 * (fine + coarse))
+        assert np.allclose(dist.weights[junction + 1:], coarse, rtol=1e-9)
+
+
 class TestWeakShift:
+    @pytest.mark.parametrize("width, p, nodes", [
+        (2.0, 0.2, 1 << 12), (2.0, 1.3, 1 << 12), (5.0, 0.8, 1 << 12),
+        (12.0, 0.2, 1 << 12), (12.0, 1.3, 1 << 12), (25.0, 0.8, 1 << 12),
+        (200.0, 0.8, 1 << 14), (605.0, 0.8, 1 << 16), (0.1, 1.4, 1 << 15)])
+    def test_grid_is_sized_from_the_window(self, monkeypatch, width, p, nodes):
+        # the window confines the spectrum to |k - p| < 16 / w, so the grid
+        # needs twice that bandwidth, not the 2^17 nodes it once had
+        sizes = []
+
+        def recording(spectrum, *args):
+            sizes.append(spectrum.size)
+            return synthesize(spectrum, *args)
+
+        synthesize = tunneling._synthesize
+        monkeypatch.setattr(tunneling, "_synthesize", recording)
+        b = BarrierSpec(1.0, width)
+        from_integral, _ = weak_shift(b, p)
+        assert from_integral == pytest.approx(windowed_delay(b, p, 1 << 17),
+                                              rel=1e-10)
+        assert sizes == [nodes]
+
     def test_free_barrier_gives_zero(self):
         from_integral, from_phase = weak_shift(FREE, P)
         assert abs(from_integral) < 1e-9
