@@ -152,15 +152,17 @@ def _weak_values(readout: JointReadout,
     """f_j + i (delta_f^2 / 2) Lambda_j: each meter's weak value
     sum_i S^(j)_i alpha^(j)_i, read back from its two mean readings.
 
-    Raises :class:`MomentumUnderflow` where 1/delta_f^2 or a momentum
-    reading is subnormal: Lambda = 2 Im(w) / delta_f^2 has lost Im(w).
+    Raises :class:`MomentumUnderflow` where 1/delta_f^2 is subnormal or 0:
+    Lambda = 2 Im(w) / delta_f^2 has then lost Im(w).  Above that even a
+    subnormal reading holds Lambda to 2.5e-324, so Im(w) to
+    2.5e-324 delta_f^2 / 2 < 6e-17.
     """
-    variance, lam = pointer.momentum_variance, readout.mean_lambda
-    if variance < _TINY or ((lam != 0.0) & (np.abs(lam) < _TINY)).any():
+    variance = pointer.momentum_variance
+    if variance < _TINY:
         raise MomentumUnderflow(
             f"momentum readings underflow at delta_f = {pointer.delta_f:.3e}; "
             "Im alpha cannot be recovered")
-    return readout.mean_f + 1j * (lam / (2.0 * variance))
+    return readout.mean_f + 1j * (readout.mean_lambda / (2.0 * variance))
 
 
 def reconstruct_alphas(readout: JointReadout,

@@ -198,6 +198,19 @@ _SPLIT_EDGE = 40.0 ** (1.0 / 16.0)
 _SPLIT_THRESHOLDS = 8.0
 _SPLIT_WIDTHS = 64.0
 _WINDOW_REACH = 8.0  # fine window [-4d, 8d]: the remainder has died out
+# Either synthesis, one FFT or two pieces, rounds its lattice sum to
+# 0.2-7 eps / |T(p)| of the sum rule (measured at V = mu = 1 over
+# d in [2, 21], p in [0.2, 1.3]); below this |T(p)|, where that nears the
+# rule's 1e-6 tolerance, S keeps the one FFT whose rounding the rule's
+# documented limits were measured on.
+_OPAQUE = 1e-8
+
+_WEAK_NODES = 1 << 12  # weak_shift's grid, band-limited by its window
+# Near the threshold q^2 = 2 mu V - k^2 rounds to a few ulp of 2 mu V at
+# every node; the first moment of weak_shift's window of width w picks
+# that noise up as about 1e-18 w^2 (measured over d in [0.1, 100]), 1e-8
+# at this width, which that window reaches 1.6e-4 below the threshold.
+_MAX_PROBE_WIDTH = 1e5
 
 
 @dataclass(frozen=True)
@@ -331,18 +344,37 @@ def _fft_size(n: int) -> int:
 
 
 def _edge_piece(b: BarrierSpec, p: float, dx: float, j_zero: int,
-                nodes: int, k_c: float | None):
+                nodes: int, k_c: float):
     """``(x, A)`` of S - T W on a box of ``nodes`` reference nodes from x_0.
 
-    S = 1 + (T - 1) taper, the taper closing T - 1 at the lattice edge;
-    ``k_c=None`` means W = 0.  The FFT takes S - T W - 1, whose rounding
-    is then about ten times less, and adds the 1 exactly.
+    S = 1 + (T - 1) taper, the taper closing T - 1 at the lattice edge.
+    The FFT takes S - T W - 1, whose rounding is then about ten times
+    less, and adds the 1 exactly.
     """
     k = p + _momenta(nodes, dx)
     closing = np.expm1(-_eighth(k / (0.85 * (np.pi / dx))) ** 3)   # taper - 1
-    cut = -1.0 if k_c is None else np.expm1(-_eighth(k / k_c) ** 2)  # W - 1
+    cut = np.expm1(-_eighth(k / k_c) ** 2)                          # W - 1
     rest = transmission_amplitude(b, k) * (closing - cut) - (closing + 1.0)
     x, a, _ = _synthesize(rest, dx, j_zero, unit=1.0)
+    return x, a
+
+
+def _whole_box(b: BarrierSpec, p: float, dx: float, j_zero: int, nodes: int):
+    """``(x, A)`` of S = 1 + (T - 1) taper in one FFT over the whole box.
+
+    T(-k) = conj T(k) is evaluated on the half-lattice k >= 0 and mirrored;
+    p is lattice momentum round(p / dk), so taking S to k = p + kappa is an
+    index roll.  Operation for operation, this is the synthesis on which
+    the sum rule's opaque-barrier limits were measured.
+    """
+    k = _momenta(nodes, dx)
+    half = nodes // 2
+    t_half = transmission_amplitude(b, np.abs(k[:half + 1]))
+    t_k = np.concatenate((t_half[:half], t_half[half:0:-1].conj()))
+    taper = np.exp(-((np.abs(k) / (0.85 * (np.pi / dx))) ** 24))
+    spectrum = 1.0 + (t_k - 1.0) * taper
+    x, a, _ = _synthesize(np.roll(spectrum, -round(p * nodes * dx / (2.0 * np.pi))),
+                          dx, j_zero)
     return x, a
 
 
@@ -367,10 +399,11 @@ def shift_amplitudes(b: BarrierSpec, p: float,
       FFT runs on a short box from -4d at the reference step, so its nodes
       are reference nodes.
 
-    ``total`` adds the two pieces' lattice sums, each an identity.  Where
-    the window would span the box, or the band of T W half the lattice (a
-    barrier narrower than about 0.15 at the default step), S takes one FFT
-    over the whole box instead.
+    ``total`` adds the two pieces' lattice sums, each an identity.  S
+    takes one FFT over the whole box instead (:func:`_whole_box`) where the
+    window would span the box, or the band of T W half the lattice (a
+    barrier narrower than about 0.15 at the default step), and where
+    |T(p)| < 1e-8 (see ``_OPAQUE``).
     """
     if grid is None:
         grid = ShiftGrid()
@@ -392,18 +425,14 @@ def shift_amplitudes(b: BarrierSpec, p: float,
     reach = int(np.ceil(_WINDOW_REACH * b.width / dx))
     last = j_zero + stride * -(-reach // stride)
     first = (last - j_zero % stride) // stride + 1  # first coarse tail node
-    if stride == 1 or first >= coarse:
-        x, a = _edge_piece(b, p, dx, j_zero, nodes, None)
+    if stride == 1 or first >= coarse or abs(t_p) < _OPAQUE:
+        x, a = _whole_box(b, p, dx, j_zero, nodes)
         weights = np.full(nodes, dx)
         total = _checked_total(complex(a.sum() * dx), t_p)
     else:
         k = p + _momenta(coarse, stride * dx)
         low = transmission_amplitude(b, k) * np.exp(-_eighth(k / k_c) ** 2)
-        # both lattice sums in long double, and T W's FFT too: the rounding
-        # of its O(1) spectrum in double takes most of the sum rule's
-        # 1e-6 |T(p)| near d = 19 (V = mu = 1, p = 0.8)
-        x_c, a_c, dx_c = _synthesize(low.astype(np.clongdouble), stride * dx,
-                                     j_zero // stride)
+        x_c, a_c, dx_c = _synthesize(low, stride * dx, j_zero // stride)
         x_s, a_s = _edge_piece(b, p, dx, j_zero, _fft_size(last + 1), k_c)
 
         # T W on the window: sum_n low_n e^{-i n dk x_m} over the band, with
@@ -418,12 +447,11 @@ def shift_amplitudes(b: BarrierSpec, p: float,
         window += a_s[:last + 1]
 
         x = np.concatenate((x_s[:last + 1], x_c[first:]))
-        a = np.concatenate((window, a_c[first:].astype(complex)))
+        a = np.concatenate((window, a_c[first:]))
         weights = np.full(x.size, dx_c)
         weights[:last] = dx
         weights[last] = 0.5 * (dx + dx_c)
-        total = _checked_total(
-            complex(a_c.sum() * dx_c + a_s.astype(np.clongdouble).sum() * dx), t_p)
+        total = _checked_total(complex(a_c.sum() * dx_c + a_s.sum() * dx), t_p)
     mass = np.abs(a) * weights
     leakage = float(mass[x < 0.0].sum() / mass.sum())
     return ShiftDistribution(x_grid=x, amplitudes=a, relative=a / total,
@@ -496,14 +524,19 @@ def weak_shift(b: BarrierSpec, p: float) -> tuple[float, float]:
     # widths is comfortably enough for any sub-barrier p
     gap = min(p, b.threshold_momentum - p) if b.height > 0 else p
     probe_width = max(16.0 / gap, 4.0 * b.width)
+    if b.height > 0 and 16.0 / (b.threshold_momentum - p) > _MAX_PROBE_WIDTH:
+        raise GridError(
+            f"momentum {p} is {b.threshold_momentum - p:.2e} below the "
+            f"barrier threshold: the delay window would be {probe_width:.3g} "
+            f"wide, past {_MAX_PROBE_WIDTH:.0e}, where rounding swamps its "
+            "first moment")
     x_lo = -12.0 * probe_width
     length = _box(p, 24.0 * probe_width + 12.0 * b.width)
-    # the window confines the spectrum to |k - p| < 16 / probe_width
-    nodes = 1 << 12
-    while np.pi * nodes / length <= 2.0 * (p + 16.0 / probe_width):
-        nodes *= 2
-    dx = length / nodes
-    k = p + _momenta(nodes, dx)
+    # the window confines the spectrum to |k - p| < 16 / probe_width, and
+    # the box is at most 28 probe widths, so the Nyquist pi / dx of 2^12
+    # nodes exceeds that band 14-fold at any width and momentum
+    dx = length / _WEAK_NODES
+    k = p + _momenta(_WEAK_NODES, dx)
     # centred on the rounded k that T sees: the first moment moves by
     # about w^2 times any offset between the two
     spectrum = (transmission_amplitude(b, k)

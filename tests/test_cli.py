@@ -400,6 +400,16 @@ class TestTunnel:
         assert rows[0]["delta_k"] == 0.0
         assert rows[0]["delta_x_phase"] == 0.0
 
+    @pytest.mark.parametrize("momentum", ["1.4142", "1.41421356"])
+    def test_momentum_at_the_threshold_exits_3(self, capsys, momentum):
+        # 1.4e-5 and 2.4e-9 below k_th = sqrt(2): weak_shift's window would
+        # be 1.2e6 and 6.7e9 wide, past where its first moment rounds away
+        code, out, err = run_cli(capsys, "tunnel", "--momentum", momentum,
+                                 "--no-header-meta")
+        assert code == 3
+        assert "GridError" in err and "below the barrier threshold" in err
+        assert out == ""
+
     def test_above_barrier_momentum_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "tunnel", "--momentum", "5.0")
         assert code == 2

@@ -139,11 +139,12 @@ class TestReconstructAlphas:
         with pytest.raises(MomentumUnderflow):
             reconstruct_from_operator_family(joint, battery, basis=spec.observable)
 
-    def test_subnormal_momentum_reading_raises(self):
-        # 1/delta_f^2 = 1e-300 is normal, a reading of 1e-310 is not
-        with pytest.raises(MomentumUnderflow):
-            reconstruct_alphas(JointReadout([0.5, 0.5], [1e-310, -1e-310]),
-                               GaussianPointer(1e150))
+    def test_subnormal_momentum_reading_is_read_back(self):
+        # 1/delta_f^2 = 1e-300 is normal, a reading of 1e-310 is not, but
+        # it still holds Im(alpha) = 1e-310 / 2e-300 to 2.5e-324 / 2e-300
+        recovered = reconstruct_alphas(
+            JointReadout([0.5, 0.5], [1e-310, -1e-310]), GaussianPointer(1e150))
+        assert np.abs(recovered.alphas - [0.5 + 5e-11j, 0.5 - 5e-11j]).max() < 1e-23
 
     def test_corrupted_readout_rejected(self):
         readout = JointReadout([0.7, 0.7], [0.0, 0.0])  # sums to 1.4
