@@ -99,6 +99,8 @@ class MeterReadout:
     norm: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.mean_f, self.mean_lambda, self.norm))):
+            raise ValueError("meter readout contains non-finite entries")
         if self.norm < 0.0:
             raise ValueError("post-selection weight cannot be negative")
 
@@ -130,20 +132,21 @@ def _kernel_moments(a: PathAmplitudeSet, obs, delta_f):
     (P, N, N) kernel at a time."""
     delta_f, variance = _accuracy_terms(delta_f)
     s = _eigenvalues_for(obs, len(a))
-    ds = s[:, None] - s[None, :]
-    ds2, s_sum = ds ** 2, s[:, None] + s[None, :]
-    outer = np.outer(a.amplitudes, a.amplitudes.conj())
-    norm, num_f, num_l = np.empty((3, delta_f.size), dtype=complex)
-    step = max(1, _KERNEL_BLOCK // ds.size)
-    for start in range(0, delta_f.size, step):
-        block = slice(start, start + step)
-        with np.errstate(over="ignore"):  # an overflowing exponent: K = 0 or 1
+    # overflows give K = 0 or 1, or non-finite moments the caller rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        ds = s[:, None] - s[None, :]
+        ds2, s_sum = ds ** 2, s[:, None] + s[None, :]
+        outer = np.outer(a.amplitudes, a.amplitudes.conj())
+        norm, num_f, num_l = np.empty((3, delta_f.size), dtype=complex)
+        step = max(1, _KERNEL_BLOCK // ds.size)
+        for start in range(0, delta_f.size, step):
+            block = slice(start, start + step)
             pair = outer * np.exp(-ds2 / (2.0 * delta_f[block, None, None] ** 2))
-        norm[block] = pair.sum(axis=(1, 2))
-        num_f[block] = (pair * s_sum * 0.5).sum(axis=(1, 2))
-        num_l[block] = (-1j * variance[block, None, None] * pair * ds).sum(axis=(1, 2))
-    n = _checked_norm(norm)
-    return num_f.real / n, num_l.real / n, n
+            norm[block] = pair.sum(axis=(1, 2))
+            num_f[block] = (pair * s_sum * 0.5).sum(axis=(1, 2))
+            num_l[block] = (-1j * variance[block, None, None] * pair * ds).sum(axis=(1, 2))
+        n = _checked_norm(norm)
+        return num_f.real / n, num_l.real / n, n
 
 
 def _checked_norm(norm) -> np.ndarray:
@@ -157,7 +160,8 @@ def _checked_norm(norm) -> np.ndarray:
 
 def _weak_momentum(weak: complex, variance):
     """2 (Im(w) / delta_f^2) from variance = 1/delta_f^2; doubling last keeps 0 at 0."""
-    return 2.0 * (variance * weak.imag)
+    with np.errstate(over="ignore"):  # an inf the caller rejects
+        return 2.0 * (variance * weak.imag)
 
 
 def exact_mean_position(a: PathAmplitudeSet, obs, m: GaussianPointer) -> MeterReadout:

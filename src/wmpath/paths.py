@@ -296,9 +296,13 @@ def weak_value(obs, r: RelativeAmplitudeSet) -> complex:
     Its real part is what a vanishingly inaccurate position meter reads on
     average; its imaginary part drives the momentum kick of the pointer.
     ``obs`` may be an Observable or a plain eigenvalue sequence aligned with
-    the relative amplitudes.
+    the relative amplitudes.  Raises ValueError where the sum overflows.
     """
-    return complex(np.sum(_eigenvalues_for(obs, len(r)) * r.alphas))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        total = complex(np.sum(_eigenvalues_for(obs, len(r)) * r.alphas))
+    if not cmath.isfinite(total):
+        raise ValueError(f"weak value {total} is not finite")
+    return total
 
 
 def weak_value_from_matrix(spec: TransitionSpec, s_matrix) -> complex:

@@ -1,8 +1,9 @@
 """Built-in scenario library for the command-line front end.
 
-Each discrete scenario bundles a transition, a catalog of named observables
-with a default selection, and an optional battery ordering for joint weak
-measurements.  The state pairs behind the named scenarios reproduce fixed
+Each discrete scenario bundles a transition and a catalog of named
+observables with a default selection; the catalog's observables are all
+diagonal in the path basis, so any of them form one co-diagonal meter
+battery.  The state pairs behind the named scenarios reproduce fixed
 reference amplitudes (checked on every construction, so a corrupted build
 fails loudly rather than emitting wrong tables):
 
@@ -42,7 +43,6 @@ class DiscreteScenario:
     transition: TransitionSpec          # observable field unset
     observables: dict[str, Observable]
     default_observable: str
-    battery_order: tuple[str, ...]
     reference_alphas: np.ndarray | None = None
 
     def observable(self, name: str | None = None) -> Observable:
@@ -91,7 +91,6 @@ def _spin100() -> DiscreteScenario:
         transition=transition,
         observables=observables,
         default_observable="sigma_z",
-        battery_order=("P1", "P2"),
         reference_alphas=np.array([50.5, -49.5], dtype=complex),
     )
 
@@ -112,7 +111,6 @@ def _cheshire() -> DiscreteScenario:
         transition=transition,
         observables=observables,
         default_observable="sigmaR",
-        battery_order=("PL", "PR", "sigmaL", "sigmaR"),
         reference_alphas=np.array([0.5, 0.5, 0.5, -0.5], dtype=complex),
     )
 
@@ -131,7 +129,6 @@ def _threebox() -> DiscreteScenario:
         transition=transition,
         observables=observables,
         default_observable="P1",
-        battery_order=("P1", "P2", "P3"),
         reference_alphas=np.array([1.0, -1.0, 1.0], dtype=complex),
     )
 

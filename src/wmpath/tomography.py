@@ -1,13 +1,15 @@
 """Transition tomography: simultaneous weak meters and inversion.
 
 A battery of weak meters coupled at the same instant reads out, to first
-order in the coupling, exactly what each meter would read alone: the
-weighted relative amplitudes of the transition in that meter's eigenbasis.
-Measuring the N projectors of one basis therefore recovers every alpha_i,
-from which the outcome statistics of any strong measurement in that basis
-can be predicted without performing it.  The inverse problem is also
-solvable: for any initial state and any target amplitudes summing to one
-there is a post-selection state realizing them.
+order in the coupling, exactly what each meter would read alone.  Its meters
+must be co-diagonal, so a battery is one basis |i> plus the eigenvalue
+matrix S[j, i] of meter j on |i>, and reads the weak values S alpha of the
+relative amplitudes alpha in that basis.  The N projectors of one basis
+(S = I), or any invertible S, therefore recover every alpha_i, from which
+the outcome statistics of any strong measurement in that basis can be
+predicted without performing it.  The inverse problem is also solvable: for
+any initial state and any target amplitudes summing to one there is a
+post-selection state realizing them.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .paths import (
     _normalized_weights,
     _project,
     relative_amplitudes,
-    weak_value,
 )
 
 __all__ = [
@@ -57,28 +58,51 @@ _TINY = np.finfo(float).tiny  # smallest normal float
 
 @dataclass(frozen=True)
 class MeterBattery:
-    """J observables measured simultaneously, sharing one pointer state."""
+    """J co-diagonal observables measured at once with one pointer: the
+    common ``basis`` (N x N, columns |i>) and the real eigenvalue matrix
+    ``spectra`` S (J x N), S[j, i] = <i|A_j|i>.
 
-    operators: tuple[Observable, ...]
+    The basis is that of the member with the most distinct eigenvalues,
+    whose eigenbasis is least arbitrary; ValueError is raised if another
+    member is not diagonal in it.  Non-commuting observables are read one
+    at a time (:func:`weak_asymptotics`, :func:`weak_value_from_matrix`).
+    """
+
+    basis: np.ndarray
+    spectra: np.ndarray
     pointer: GaussianPointer
 
     def __init__(self, operators, pointer):
         operators = tuple(operators)
-        if not operators:
-            raise ValueError("battery needs at least one operator")
-        dim = operators[0].dimension
-        if any(op.dimension != dim for op in operators):
-            raise ValueError("all battery operators must share one dimension")
-        object.__setattr__(self, "operators", operators)
-        object.__setattr__(self, "pointer", pointer)
+        if len({op.dimension for op in operators}) != 1:
+            raise ValueError("a battery needs operators of one shared dimension")
+        # eigenvalues are sorted, so a member's distinct ones are its steps
+        steps = [np.count_nonzero(np.diff(op.eigenvalues.round(9))) for op in operators]
+        basis = operators[int(np.argmax(steps))].eigenvectors
+        spectra = np.empty((len(operators), basis.shape[0]))
+        for j, op in enumerate(operators):
+            overlap = basis.conj().T @ op.eigenvectors
+            m = (overlap * op.eigenvalues) @ overlap.conj().T  # B^dagger A_j B
+            spectra[j] = np.diag(m).real
+            if np.abs(m - np.diag(np.diag(m))).max() > 1e-10 * max(1.0, np.abs(m).max()):
+                raise ValueError(f"operator {j} is not diagonal in the battery's "
+                                 "common basis; a battery must be co-diagonal")
+        _set_battery(self, basis, spectra, pointer)
 
     @property
     def size(self) -> int:
-        return len(self.operators)
+        return self.spectra.shape[0]
 
     @property
     def dimension(self) -> int:
-        return self.operators[0].dimension
+        return self.spectra.shape[1]
+
+
+def _set_battery(battery: MeterBattery, basis, spectra, pointer) -> MeterBattery:
+    spectra.setflags(write=False)
+    for name, value in (("basis", basis), ("spectra", spectra), ("pointer", pointer)):
+        object.__setattr__(battery, name, value)
+    return battery
 
 
 @dataclass(frozen=True)
@@ -115,42 +139,30 @@ class ReconstructionResult:
 
 
 def projector_battery(basis: Observable, pointer: GaussianPointer) -> MeterBattery:
-    """The N rank-one projectors |i><i| of one orthonormal basis."""
-    n = basis.dimension
-    ops = []
-    for i in range(n):
-        # projector spectrum is (0,...,0,1); keep the basis vectors but
-        # reorder so eigenvalues are ascending with |i> last
-        order = [j for j in range(n) if j != i] + [i]
-        vecs = basis.eigenvectors[:, order]
-        vals = np.zeros(n)
-        vals[-1] = 1.0
-        ops.append(Observable(vals, vecs))
-    return MeterBattery(ops, pointer)
+    """The N rank-one projectors |i><i| of one orthonormal basis: S = I."""
+    return _set_battery(object.__new__(MeterBattery), basis.eigenvectors,
+                        np.eye(basis.dimension), pointer)
 
 
 def joint_weak_means(spec: TransitionSpec, battery: MeterBattery) -> JointReadout:
     """First-order mean readings of all meters coupled at t = T/2.
 
-    Each meter j reads sum_i S^(j)_i Re alpha^(j)_i in position and
-    (2/delta_f^2) sum_i S^(j)_i Im alpha^(j)_i in momentum, with the
-    relative amplitudes computed in that operator's own eigenbasis --
+    With alpha the relative amplitudes in the battery's basis, meter j reads
+    Re w_j in position and (2/delta_f^2) Im w_j in momentum, w = S alpha:
     identical to running each weak meter alone.  Any observable already on
-    ``spec`` is ignored; the battery supplies the measurement bases.
+    ``spec`` is ignored; the battery supplies the measurement basis.
     """
     if battery.dimension != spec.dimension:
         raise ValueError("battery dimension does not match the transition")
-    half_steps = _half_steps(spec)  # one decomposition of H per battery
-    alphas = [relative_amplitudes(_project(half_steps, op.eigenvectors))
-              for op in battery.operators]
-    weak = np.array([weak_value(op, a) for op, a in zip(battery.operators, alphas)])
+    alphas = relative_amplitudes(_project(_half_steps(spec), battery.basis))
+    weak = battery.spectra @ alphas.alphas
     return JointReadout(weak.real, _weak_momentum(weak, battery.pointer.momentum_variance))
 
 
 def _weak_values(readout: JointReadout,
                  pointer: GaussianPointer) -> np.ndarray:
-    """f_j + i (delta_f^2 / 2) Lambda_j: each meter's weak value
-    sum_i S^(j)_i alpha^(j)_i, read back from its two mean readings.
+    """f_j + i (delta_f^2 / 2) Lambda_j: each meter's weak value (S alpha)_j,
+    read back from its two mean readings.
 
     Raises :class:`MomentumUnderflow` where 1/delta_f^2 is subnormal or 0:
     Lambda = 2 Im(w) / delta_f^2 has then lost Im(w).  Above that even a
@@ -187,13 +199,10 @@ def reconstruct_from_operator_family(readouts: JointReadout,
                                      basis=None) -> ReconstructionResult:
     """Recover all relative amplitudes from N co-diagonal operators.
 
-    The family's operators must be diagonal in one common basis with an
-    invertible eigenvalue matrix S[j, i]; the 2N mean readings then give
-    the N weak values S alpha, and one N x N complex solve gives alpha.
-    ``basis`` (an Observable or a unitary column matrix) pins the ordering
-    of the recovered amplitudes; when omitted it is taken from the family
-    member with the most distinct eigenvalues, whose eigenbasis is least
-    arbitrary.
+    The 2N mean readings give the N weak values S alpha, and one solve with
+    the invertible eigenvalue matrix S gives alpha in the family's basis
+    order.  A ``basis`` (an Observable or a unitary column matrix) re-orders
+    S; ValueError is raised unless |basis^dagger B|^2 is a permutation.
     """
     n = family.dimension
     if family.size != n:
@@ -201,24 +210,14 @@ def reconstruct_from_operator_family(readouts: JointReadout,
     if readouts.size != n:
         raise ValueError("readout count does not match family size")
 
-    if basis is None:
-        distinct = [np.unique(np.round(op.eigenvalues, 9)).size
-                    for op in family.operators]
-        basis = family.operators[int(np.argmax(distinct))].eigenvectors
-    elif isinstance(basis, Observable):
-        basis = basis.eigenvectors
-    else:
-        basis = np.asarray(basis, dtype=complex)
-
-    s_matrix = np.empty((n, n))
-    for j, op in enumerate(family.operators):
-        m = basis.conj().T @ op.matrix() @ basis
-        off = m - np.diag(np.diag(m))
-        scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(off).max() > 1e-10 * scale:
-            raise ValueError(
-                f"operator {j} is not diagonal in the family's common basis")
-        s_matrix[j] = np.diag(m).real
+    s_matrix = family.spectra
+    if basis is not None:
+        vectors = basis.eigenvectors if isinstance(basis, Observable) else basis
+        weights = np.abs(np.asarray(vectors, dtype=complex).conj().T @ family.basis) ** 2
+        order = weights.argmax(axis=1)
+        if np.abs(weights - np.eye(n)[order]).max() > 1e-10:
+            raise ValueError("basis does not diagonalize the family")
+        s_matrix = s_matrix[:, order]
 
     cond = float(np.linalg.cond(s_matrix))
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:

@@ -9,6 +9,7 @@ from wmpath import (
     Observable,
     PathAmplitudeSet,
     QuadratureGrid,
+    RelativeAmplitudeSet,
     StateVector,
     TransitionSpec,
     ZeroNorm,
@@ -28,6 +29,8 @@ from wmpath.meter import _KERNEL_BLOCK, _kernel_moments
 from helpers import kernel_readings, random_transition
 
 SIGMA_Z_VALUES = np.array([1.0, -1.0])
+# eigenvalues whose weighted sums overflow a double
+HUGE_GAP = Observable(np.array([0.0, 1e308]), np.eye(2))
 
 
 def spin100_amplitudes(b=-99.0 / 101.0) -> PathAmplitudeSet:
@@ -182,6 +185,12 @@ class TestExactMeans:
             tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
 
+    def test_overflowing_moments_raise(self):
+        # once read mean_f = nan, after an overflow warning
+        with pytest.raises(ValueError, match="non-finite"):
+            exact_mean_position(PathAmplitudeSet([1.0, 1.0]), HUGE_GAP,
+                                GaussianPointer(1.0))
+
     def test_zero_norm_raises(self):
         # a transition with no amplitude at all leaves the meter nothing to
         # weight: the success weight underflows outright
@@ -191,6 +200,12 @@ class TestExactMeans:
 
 
 class TestWeakAsymptotics:
+    def test_overflowing_weak_value_raises(self):
+        # once read mean_f = inf, after an overflow warning
+        with pytest.raises(ValueError, match="not finite"):
+            weak_asymptotics(RelativeAmplitudeSet([-1.0, 2.0]), HUGE_GAP,
+                             GaussianPointer(1.0))
+
     def test_spin100_reads_hundred(self):
         alphas = relative_amplitudes(spin100_amplitudes())
         readout = weak_asymptotics(alphas, SIGMA_Z_VALUES, GaussianPointer(5.0))

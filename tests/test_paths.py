@@ -257,6 +257,11 @@ class TestWeakValue:
         with pytest.raises(ValueError):
             weak_value([1.0, 2.0], RelativeAmplitudeSet([np.nan, 1.0]))
 
+    def test_overflowing_sum_raises(self):
+        # once returned inf+0j, after an overflow warning
+        with pytest.raises(ValueError, match="not finite"):
+            weak_value([0.0, 1e308], RelativeAmplitudeSet([-1.0, 2.0]))
+
     def test_spin100_reads_one_hundred(self):
         alphas = relative_amplitudes(path_amplitudes(spin100_spec()))
         value = weak_value([1.0, -1.0], alphas)

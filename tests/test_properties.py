@@ -1,6 +1,7 @@
 """Property-based checks over randomized states and operators."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -9,7 +10,9 @@ from wmpath import (
     EigenvaluePartition,
     GaussianPointer,
     HermitianMatrix,
+    MeterBattery,
     Observable,
+    OrthogonalPostselection,
     StateVector,
     TransitionSpec,
     design_postselection,
@@ -17,12 +20,16 @@ from wmpath import (
     exact_mean_position,
     group,
     inner_product,
+    joint_weak_means,
     path_amplitudes,
     relative_amplitudes,
     spectral_decompose,
     strong_probabilities,
+    weak_asymptotics,
     weak_value,
 )
+
+from helpers import expm_taylor, random_hermitian
 
 finite_reals = st.floats(min_value=-5.0, max_value=5.0,
                          allow_nan=False, allow_infinity=False)
@@ -122,3 +129,75 @@ def test_design_round_trip_and_meter_sanity(psi, z_raw, delta_f):
     readout = exact_mean_position(amps, basis, GaussianPointer(delta_f))
     assert np.isfinite(readout.mean_f)
     assert readout.norm > 0
+
+
+@st.composite
+def codiagonal_batteries(draw):
+    """A transition and J co-diagonal observables on one random unitary basis.
+
+    Eigenvalues are integers in [-3, 3], so a row repeats values
+    (degenerate) or keeps them apart, and each row is scaled by 10^k,
+    |k| <= 200.  The post-selection overlaps U(T)|psi> by 10^-m, m <= 10,
+    or by exactly 0.
+    """
+    n = draw(st.integers(2, 8))
+    rows = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = draw(arrays(np.float64, (rows, n), elements=st.integers(-3, 3)))
+    values *= 10.0 ** draw(arrays(np.float64, (rows, 1), elements=st.integers(-200, 200)))
+    overlap = draw(st.just(0.0) | st.integers(-10, 0).map(lambda m: 10.0 ** m))
+    if draw(st.booleans()):
+        hamiltonian, total_time = random_hermitian(rng, n), float(rng.uniform(0.1, 2.0))
+    else:
+        hamiltonian, total_time = HermitianMatrix.zero(n), 0.0
+    raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    basis = np.linalg.qr(raw)[0]
+    psi = StateVector(rng.normal(size=n) + 1j * rng.normal(size=n))
+    target = expm_taylor(-1j * total_time * hamiltonian.entries) @ psi.amplitudes
+    target /= np.linalg.norm(target)
+    other = rng.normal(size=n) + 1j * rng.normal(size=n)
+    other -= target * np.vdot(target, other)
+    other /= np.linalg.norm(other)
+    phi = StateVector(np.sqrt(1.0 - overlap ** 2) * other + overlap * target)
+    operators = []
+    for row in values:
+        order = np.argsort(row, kind="stable")
+        operators.append(Observable(row[order], basis[:, order]))
+    spec = TransitionSpec(psi, phi, hamiltonian, total_time)
+    return spec, basis, values, operators, overlap
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=codiagonal_batteries())
+def test_joint_readings_match_single_meters(case):
+    spec, basis, values, operators, overlap = case
+    pointer = GaussianPointer(7.0)
+    battery = MeterBattery(operators, pointer)
+    if overlap == 0.0:
+        with pytest.raises(OrthogonalPostselection):
+            joint_weak_means(spec, battery)
+        return
+    # below an overlap of about 1e-5 the rounded alphas may miss their unit
+    # sum by more than 1e-10, which RelativeAmplitudeSet rejects
+    try:
+        joint = joint_weak_means(spec, battery)
+    except ValueError:
+        assert overlap < 1e-4
+        return
+    amps = path_amplitudes(spec.with_observable(
+        Observable(np.arange(float(spec.dimension)), basis)))
+    alphas = amps.amplitudes / amps.total
+    # both routes round the normalisation by about eps sum|A| / |sum A|
+    cond = np.abs(amps.amplitudes).sum() / abs(amps.total)
+    scales = 1e-12 * cond * (np.abs(values) @ np.abs(alphas))
+    for j, op in enumerate(operators):
+        try:
+            alone = weak_asymptotics(
+                relative_amplitudes(path_amplitudes(spec.with_observable(op))),
+                op, pointer)
+        except ValueError:  # the same check, on alphas rounded in another order
+            assert overlap < 1e-4
+            continue
+        assert abs(joint.mean_f[j] - alone.mean_f) <= scales[j]
+        momentum_scale = 2.0 * pointer.momentum_variance * scales[j]
+        assert abs(joint.mean_lambda[j] - alone.mean_lambda) <= momentum_scale

@@ -21,17 +21,13 @@ class TestScenarioLibrary:
         # all four meters, exact engine: amplitudes share a phase, so the
         # momentum reading is identically zero, not merely asymptotically
         scenario = get_scenario("cheshire")
-        for name in scenario.battery_order:
+        for name in ("PL", "PR", "sigmaL", "sigmaR"):
             observable = scenario.observable(name)
             amps = path_amplitudes(scenario.transition.with_observable(observable))
             for delta_f in (0.05, 1.0, 30.0):
                 readout = exact_mean_position(amps, observable,
                                               GaussianPointer(delta_f))
                 assert abs(readout.mean_lambda) < 1e-12
-
-    def test_threebox_battery_order(self):
-        scenario = get_scenario("threebox")
-        assert scenario.battery_order == ("P1", "P2", "P3")
 
 
 class TestSweepRunConsistency:

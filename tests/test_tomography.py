@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import wmpath.paths
+import wmpath.tomography
 from wmpath import (
     AllZeroAmplitudes,
     GaussianPointer,
@@ -64,17 +65,66 @@ class TestJointWeakMeans:
                             lambda m: calls.append(m) or original(m))
         joint = joint_weak_means(spec, battery)
         assert calls == [spec.hamiltonian]
-        for j, op in enumerate(battery.operators):
+        basis = spec.observable.eigenvectors
+        for j in range(spec.dimension):
+            # the projector onto column j, its eigenvalue 1 last
+            order = [i for i in range(spec.dimension) if i != j] + [j]
+            op = Observable(np.eye(spec.dimension)[-1], basis[:, order])
             alone = weak_asymptotics(
                 relative_amplitudes(path_amplitudes(spec.with_observable(op))),
                 op, battery.pointer)
-            assert joint.mean_f[j] == alone.mean_f
-            assert joint.mean_lambda[j] == alone.mean_lambda
+            assert joint.mean_f[j] == pytest.approx(alone.mean_f, rel=1e-12, abs=0)
+            assert joint.mean_lambda[j] == pytest.approx(alone.mean_lambda,
+                                                         rel=1e-12, abs=0)
+
+    def test_projector_battery_is_one_basis(self, monkeypatch):
+        # N = 1024: the battery builds no Observable and the readout
+        # projects onto the basis once, not once per meter
+        n = 1024
+        rng = np.random.default_rng(36)
+        basis = natural_basis(n)
+        spec = TransitionSpec(random_state(rng, n), random_state(rng, n),
+                              HermitianMatrix.zero(n))
+        built, projections = [], []
+        observable_init = Observable.__init__
+        monkeypatch.setattr(Observable, "__init__",
+                            lambda self, *a: built.append(a) or observable_init(self, *a))
+        battery = projector_battery(basis, GaussianPointer(7.0))
+        assert built == []
+        assert battery.spectra.shape == (n, n)
+        project = wmpath.tomography._project
+        monkeypatch.setattr(wmpath.tomography, "_project",
+                            lambda *a: projections.append(a) or project(*a))
+        joint = joint_weak_means(spec, battery)
+        assert len(projections) == 1
+        expected = relative_amplitudes(
+            path_amplitudes(spec.with_observable(basis))).alphas
+        assert np.abs(joint.mean_f - expected.real).max() < 1e-12
+
+    def test_basis_comes_from_the_least_degenerate_member(self):
+        # LAPACK's basis inside the degenerate member's eigenspace is
+        # arbitrary, so only the other member's basis diagonalizes both
+        rng = np.random.default_rng(37)
+        raw = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        q = np.linalg.qr(raw)[0]
+        members = [Observable.from_matrix((q * values) @ q.conj().T)
+                   for values in ([1.0, 1.0, 2.0], [1.0, 2.0, 3.0])]
+        spec = random_transition(rng, 3)
+        pointer = GaussianPointer(9.0)
+        joint = joint_weak_means(spec, MeterBattery(members, pointer))
+        for j, op in enumerate(members):
+            alone = weak_asymptotics(
+                relative_amplitudes(path_amplitudes(spec.with_observable(op))),
+                op, pointer)
+            assert joint.mean_f[j] == pytest.approx(alone.mean_f, rel=1e-12, abs=0)
+            assert joint.mean_lambda[j] == pytest.approx(alone.mean_lambda,
+                                                         rel=1e-12, abs=0)
 
     def test_cheshire_battery(self):
         scenario = get_scenario("cheshire")
         battery = MeterBattery(
-            [scenario.observable(name) for name in scenario.battery_order],
+            [scenario.observable(name)
+             for name in ("PL", "PR", "sigmaL", "sigmaR")],
             GaussianPointer(50.0))
         joint = joint_weak_means(scenario.transition, battery)
         assert np.abs(joint.mean_f - np.array([1.0, 0.0, 0.0, 1.0])).max() < 1e-12
@@ -83,7 +133,7 @@ class TestJointWeakMeans:
     def test_threebox_battery(self):
         scenario = get_scenario("threebox")
         battery = MeterBattery(
-            [scenario.observable(name) for name in scenario.battery_order],
+            [scenario.observable(name) for name in ("P1", "P2", "P3")],
             GaussianPointer(40.0))
         joint = joint_weak_means(scenario.transition, battery)
         assert np.abs(joint.mean_f - np.array([1.0, -1.0, 1.0])).max() < 1e-12
@@ -189,10 +239,23 @@ class TestOperatorFamily:
         pointer = GaussianPointer(50.0)
         sigma_x = Observable.from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         sigma_z = Observable.from_matrix(np.diag([1.0, -1.0]))
-        family = MeterBattery([sigma_z, sigma_x], pointer)
-        readout = JointReadout([0.5, 0.5], [0.0, 0.0])
         with pytest.raises(ValueError):
-            reconstruct_from_operator_family(readout, family)
+            MeterBattery([sigma_z, sigma_x], pointer)
+
+    def test_basis_that_does_not_diagonalize_the_family_rejected(self):
+        scenario = get_scenario("cheshire")
+        pointer = GaussianPointer(18.0)
+        battery = projector_battery(natural_basis(4), pointer)
+        joint = joint_weak_means(scenario.transition, battery)
+        swap = np.eye(4)
+        swap[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
+        mixed = Observable.from_matrix(swap + np.diag([0.0, 0.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match="does not diagonalize"):
+            reconstruct_from_operator_family(joint, battery, basis=mixed)
+        # a re-ordered basis is accepted and re-indexes the amplitudes
+        reversed_basis = Observable(np.arange(4.0), np.eye(4)[:, ::-1])
+        result = reconstruct_from_operator_family(joint, battery, basis=reversed_basis)
+        assert np.abs(result.alphas.alphas - [-0.5, 0.5, 0.5, 0.5]).max() < 1e-12
 
     def test_family_inverts_joint_means_on_random_transition(self):
         rng = np.random.default_rng(32)
