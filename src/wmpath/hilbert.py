@@ -34,6 +34,15 @@ ORTHONORMALITY_TOL = 1e-10
 PHASE_PIVOT_TOL = 1e-8
 
 
+def _as_complex_vector(values) -> np.ndarray:
+    vec = np.asarray(values, dtype=complex).reshape(-1)
+    if vec.size < 1:
+        raise ValueError("state vector needs at least one component")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("state vector contains non-finite entries")
+    return vec
+
+
 @dataclass(frozen=True)
 class StateVector:
     """A normalized ket.  The constructor rescales its input to unit norm."""
@@ -41,11 +50,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __init__(self, amplitudes):
-        vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if vec.size < 1:
-            raise ValueError("state vector needs at least one component")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("state vector contains non-finite entries")
+        vec = _as_complex_vector(amplitudes)
         # scale by the largest modulus first, so that the norm of components
         # near 1e+-200 neither overflows nor underflows
         scale = np.abs(vec).max()

@@ -62,10 +62,10 @@ class MeterBattery:
     common ``basis`` (N x N, columns |i>) and the real eigenvalue matrix
     ``spectra`` S (J x N), S[j, i] = <i|A_j|i>.
 
-    The basis is that of the member with the most distinct eigenvalues,
-    whose eigenbasis is least arbitrary; ValueError is raised if another
-    member is not diagonal in it.  Non-commuting observables are read one
-    at a time (:func:`weak_asymptotics`, :func:`weak_value_from_matrix`).
+    ValueError is raised if a member is not diagonal in the common basis
+    to 1e-10 of that member's own scale.  Non-commuting observables are
+    read one at a time (:func:`weak_asymptotics`,
+    :func:`weak_value_from_matrix`).
     """
 
     basis: np.ndarray
@@ -76,15 +76,12 @@ class MeterBattery:
         operators = tuple(operators)
         if len({op.dimension for op in operators}) != 1:
             raise ValueError("a battery needs operators of one shared dimension")
-        # eigenvalues are sorted, so a member's distinct ones are its steps
-        steps = [np.count_nonzero(np.diff(op.eigenvalues.round(9))) for op in operators]
-        basis = operators[int(np.argmax(steps))].eigenvectors
+        basis = _common_basis(operators)
         spectra = np.empty((len(operators), basis.shape[0]))
         for j, op in enumerate(operators):
-            overlap = basis.conj().T @ op.eigenvectors
-            m = (overlap * op.eigenvalues) @ overlap.conj().T  # B^dagger A_j B
+            m = _restrict(op, basis)  # B^dagger A_j B
             spectra[j] = np.diag(m).real
-            if np.abs(m - np.diag(np.diag(m))).max() > 1e-10 * max(1.0, np.abs(m).max()):
+            if np.abs(m - np.diag(np.diag(m))).max() > 1e-10 * np.abs(m).max():
                 raise ValueError(f"operator {j} is not diagonal in the battery's "
                                  "common basis; a battery must be co-diagonal")
         _set_battery(self, basis, spectra, pointer)
@@ -96,6 +93,44 @@ class MeterBattery:
     @property
     def dimension(self) -> int:
         return self.spectra.shape[1]
+
+
+def _restrict(op: Observable, vectors: np.ndarray) -> np.ndarray:
+    """The matrix <a|A|b> of ``op`` between the columns of ``vectors``."""
+    overlap = vectors.conj().T @ op.eigenvectors
+    return (overlap * op.eigenvalues) @ overlap.conj().T
+
+
+def _blocks(lo: int, hi: int, values: np.ndarray, tol: float) -> list:
+    """The runs of two or more equal sorted ``values`` (to ``tol``), as
+    column ranges (a, b) within lo..hi."""
+    edges = [lo, *(lo + 1 + np.flatnonzero(np.diff(values) > tol)), hi]
+    return [(a, b) for a, b in zip(edges, edges[1:]) if b - a > 1]
+
+
+def _common_basis(operators) -> np.ndarray:
+    """An eigenbasis shared by co-diagonal ``operators``.
+
+    It starts from the eigenbasis of the member with the most distinct
+    eigenvalues (to 1e-9 of its largest).  Inside a degenerate eigenspace
+    LAPACK's basis is arbitrary, so each member in turn is diagonalized on
+    every eigenspace still degenerate, which splits it wherever that
+    member's eigenvalues differ.  If the chosen member is non-degenerate,
+    its eigenbasis is used as it is.
+    """
+    tols = [1e-9 * np.abs(op.eigenvalues).max() for op in operators]
+    first = int(np.argmax([np.count_nonzero(np.diff(op.eigenvalues) > tol)
+                           for op, tol in zip(operators, tols)]))
+    basis = operators[first].eigenvectors.copy()
+    blocks = _blocks(0, basis.shape[0], operators[first].eigenvalues, tols[first])
+    for op, tol in zip(operators, tols):
+        refined = []
+        for lo, hi in blocks:
+            values, rotation = np.linalg.eigh(_restrict(op, basis[:, lo:hi]))
+            basis[:, lo:hi] = basis[:, lo:hi] @ rotation
+            refined += _blocks(lo, hi, values, tol)
+        blocks = refined
+    return basis
 
 
 def _set_battery(battery: MeterBattery, basis, spectra, pointer) -> MeterBattery:

@@ -133,7 +133,8 @@ def test_design_round_trip_and_meter_sanity(psi, z_raw, delta_f):
 
 @st.composite
 def codiagonal_batteries(draw):
-    """A transition and J co-diagonal observables on one random unitary basis.
+    """A transition and J co-diagonal observables on one random unitary basis,
+    each with its own basis inside its degenerate eigenspaces.
 
     Eigenvalues are integers in [-3, 3], so a row repeats values
     (degenerate) or keeps them apart, and each row is scaled by 10^k,
@@ -162,7 +163,14 @@ def codiagonal_batteries(draw):
     operators = []
     for row in values:
         order = np.argsort(row, kind="stable")
-        operators.append(Observable(row[order], basis[:, order]))
+        vectors = basis[:, order]
+        # like LAPACK's, a member's basis inside a degenerate eigenspace is
+        # arbitrary: rotate it by a random unitary
+        for value in np.unique(row):
+            block = np.flatnonzero(row[order] == value)
+            mix = rng.normal(size=(block.size,) * 2) + 1j * rng.normal(size=(block.size,) * 2)
+            vectors[:, block] = vectors[:, block] @ np.linalg.qr(mix)[0]
+        operators.append(Observable(row[order], vectors))
     spec = TransitionSpec(psi, phi, hamiltonian, total_time)
     return spec, basis, values, operators, overlap
 

@@ -101,24 +101,36 @@ class TestJointWeakMeans:
             path_amplitudes(spec.with_observable(basis))).alphas
         assert np.abs(joint.mean_f - expected.real).max() < 1e-12
 
-    def test_basis_comes_from_the_least_degenerate_member(self):
-        # LAPACK's basis inside the degenerate member's eigenspace is
-        # arbitrary, so only the other member's basis diagonalizes both
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 1.0, 2.0], [1.0, 2.0, 3.0]],
+        np.eye(4),  # the N rank-one projectors: every member degenerate
+        [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0],
+         [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]],  # the Cheshire meters
+    ], ids=["one-degenerate", "projectors", "cheshire"])
+    def test_degenerate_members_share_a_basis(self, rows):
+        # LAPACK's basis inside a degenerate eigenspace is arbitrary, so the
+        # battery must find the common basis from all members together
         rng = np.random.default_rng(37)
-        raw = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        n = len(rows[0])
+        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         q = np.linalg.qr(raw)[0]
-        members = [Observable.from_matrix((q * values) @ q.conj().T)
-                   for values in ([1.0, 1.0, 2.0], [1.0, 2.0, 3.0])]
-        spec = random_transition(rng, 3)
+        members = [Observable.from_matrix((q * np.asarray(values)) @ q.conj().T)
+                   for values in rows]
+        spec = random_transition(rng, n)
         pointer = GaussianPointer(9.0)
-        joint = joint_weak_means(spec, MeterBattery(members, pointer))
-        for j, op in enumerate(members):
-            alone = weak_asymptotics(
-                relative_amplitudes(path_amplitudes(spec.with_observable(op))),
-                op, pointer)
-            assert joint.mean_f[j] == pytest.approx(alone.mean_f, rel=1e-12, abs=0)
-            assert joint.mean_lambda[j] == pytest.approx(alone.mean_lambda,
-                                                         rel=1e-12, abs=0)
+        battery = MeterBattery(members, pointer)
+        joint = joint_weak_means(spec, battery)
+        alone = [weak_asymptotics(
+            relative_amplitudes(path_amplitudes(spec.with_observable(op))), op, pointer)
+            for op in members]
+        for readings, reference in ((joint.mean_f, [a.mean_f for a in alone]),
+                                    (joint.mean_lambda, [a.mean_lambda for a in alone])):
+            assert np.abs(readings - reference).max() < 1e-12 * np.abs(reference).max()
+        if len(rows) == n:
+            result = reconstruct_from_operator_family(joint, battery, basis=q)
+            expected = relative_amplitudes(path_amplitudes(
+                spec.with_observable(Observable(np.arange(n, dtype=float), q)))).alphas
+            assert np.abs(result.alphas.alphas - expected).max() < 1e-12
 
     def test_cheshire_battery(self):
         scenario = get_scenario("cheshire")
@@ -241,6 +253,18 @@ class TestOperatorFamily:
         sigma_z = Observable.from_matrix(np.diag([1.0, -1.0]))
         with pytest.raises(ValueError):
             MeterBattery([sigma_z, sigma_x], pointer)
+
+    @pytest.mark.parametrize("scale", [1e-11, 1e-200, 1e200])
+    def test_non_codiagonal_family_rejected_at_any_scale(self, scale):
+        pointer = GaussianPointer(50.0)
+        sigma_x = Observable.from_matrix(scale * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        sigma_z = Observable.from_matrix(scale * np.diag([1.0, -1.0]))
+        with pytest.raises(ValueError, match="co-diagonal"):
+            MeterBattery([sigma_z, sigma_x], pointer)
+        # a zero member is diagonal in every basis
+        zero = Observable(np.zeros(2), np.eye(2))
+        battery = MeterBattery([zero, sigma_z], pointer)
+        assert np.array_equal(battery.spectra, [[0.0, 0.0], [-scale, scale]])
 
     def test_basis_that_does_not_diagonalize_the_family_rejected(self):
         scenario = get_scenario("cheshire")
