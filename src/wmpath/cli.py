@@ -41,7 +41,6 @@ from .meter import GaussianPointer, _accuracy_terms, _kernel_moments, _weak_mome
 from .paths import (
     EigenvaluePartition,
     TransitionSpec,
-    _half_steps,
     _project,
     group,
     path_amplitudes,
@@ -327,9 +326,10 @@ def _cmd_design(args):
     phi = design_postselection(psi, targets)
 
     n = psi.dimension
-    spec = TransitionSpec(psi, phi, HermitianMatrix.zero(n), 0.0)
-    # the amplitudes in basis order: project onto the standard basis
-    realized = relative_amplitudes(_project(_half_steps(spec), np.eye(n))).alphas
+    # H = 0 and T = 0: the half steps are the states themselves, and the
+    # amplitudes in basis order are their standard-basis components
+    realized = relative_amplitudes(
+        _project((phi.amplitudes, psi.amplitudes))).alphas
     error = float(np.abs(realized - targets).max())
 
     columns = ("index", "phi_re", "phi_im", "alpha_re", "alpha_im",

@@ -14,6 +14,7 @@ results do not depend on which route produced the basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,8 +85,9 @@ class HermitianMatrix:
         scale = max(1.0, float(np.abs(mat).max()))
         if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL * scale:
             raise ValueError("matrix is not Hermitian within 1e-12")
-        # store the exactly-Hermitian average so round-trips are symmetric
-        mat = 0.5 * (mat + mat.conj().T)
+        # store the exactly-Hermitian average so round-trips are symmetric;
+        # halving before the sum keeps entries near the float limit finite
+        mat = 0.5 * mat + 0.5 * mat.conj().T
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
 
@@ -96,6 +98,13 @@ class HermitianMatrix:
     @property
     def dimension(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def is_diagonal(self) -> bool:
+        """True when no off-diagonal entry is nonzero: the standard basis is
+        an eigenbasis and exp(-i H t) is an elementwise phase."""
+        a = self.entries
+        return np.count_nonzero(a) == np.count_nonzero(a.diagonal())
 
 
 @dataclass(frozen=True)
@@ -177,8 +186,7 @@ def spectral_decompose(m: HermitianMatrix) -> Observable:
     not depend on that choice.
     """
     a = m.entries
-    # every nonzero entry on the diagonal: nothing to rotate
-    if np.count_nonzero(a) == np.count_nonzero(a.diagonal()):
+    if m.is_diagonal:  # nothing to rotate
         vals = a.diagonal().real
         vecs = np.eye(a.shape[0])
     else:
@@ -192,19 +200,26 @@ def spectral_decompose(m: HermitianMatrix) -> Observable:
 
 
 def evolve(state: StateVector, h, t: float) -> StateVector:
-    """Apply exp(-i h t) to a state via the spectral decomposition of h.
+    """Apply exp(-i h t) to a state.
 
-    ``h`` is a Hermitian matrix, decomposed here, or an Observable already in
-    spectral form, so that a caller evolving several states under one
-    Hamiltonian decomposes it once.
+    ``h`` is an Observable already in spectral form, so that a caller
+    evolving several states under one Hamiltonian decomposes it once, or a
+    Hermitian matrix.  A diagonal matrix acts as the elementwise phase
+    exp(-i h_kk t), with the same result as its spectral form; any other is
+    decomposed here.
     """
-    if not isinstance(h, Observable):
-        h = Observable.from_matrix(h)  # raises on non-Hermitian input
+    if not isinstance(h, (Observable, HermitianMatrix)):
+        h = HermitianMatrix(h)  # raises on non-Hermitian input
+    if isinstance(h, HermitianMatrix) and not h.is_diagonal:
+        h = spectral_decompose(h)
     if h.dimension != state.dimension:
         raise ValueError(
             f"dimension mismatch: state {state.dimension}, matrix {h.dimension}")
     if not np.isfinite(t):
         raise ValueError("evolution time must be finite")
+    if isinstance(h, HermitianMatrix):
+        return StateVector(
+            np.exp(-1j * h.entries.diagonal().real * t) * state.amplitudes)
     coeffs = h.eigenvectors.conj().T @ state.amplitudes
     evolved = h.eigenvectors @ (np.exp(-1j * h.eigenvalues * t) * coeffs)
     return StateVector(evolved)

@@ -45,6 +45,8 @@ __all__ = [
 
 ORTHOGONALITY_THRESHOLD = 1e-12
 DEGENERACY_TOL = 1e-12
+UNIT_SUM_TOL = 1e-10
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ class RelativeAmplitudeSet:
 
     alphas: np.ndarray
 
-    def __init__(self, alphas, tol: float = 1e-10):
+    def __init__(self, alphas, tol: float = UNIT_SUM_TOL):
         arr = np.asarray(alphas, dtype=complex).reshape(-1)
         if not abs(arr.sum() - 1.0) <= tol:  # NaN or inf in any alpha_i too
             raise ValueError(
@@ -200,8 +202,11 @@ def _eigenvalues_for(obs, count: int) -> np.ndarray:
 
 
 def _half_steps(spec: TransitionSpec) -> tuple[np.ndarray, np.ndarray]:
-    """U(-T/2)|phi> and U(T/2)|psi>, from one decomposition of H."""
-    h = spectral_decompose(spec.hamiltonian)
+    """U(-T/2)|phi> and U(T/2)|psi>, from at most one decomposition of H:
+    a diagonal H evolves by elementwise phases and is not decomposed."""
+    h = spec.hamiltonian
+    if not h.is_diagonal:
+        h = spectral_decompose(h)
     half = spec.total_time / 2.0
     # <phi| U(T/2) = (U(-T/2)|phi>)^dagger
     return (evolve(spec.phi, h, -half).amplitudes,
@@ -209,11 +214,13 @@ def _half_steps(spec: TransitionSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _project(half_steps: tuple[np.ndarray, np.ndarray],
-             basis: np.ndarray) -> PathAmplitudeSet:
-    """A_i from the two half-step states, one per column |i> of ``basis``."""
-    u_phi, u_psi = half_steps
-    left = basis.conj().T @ u_phi     # <i|U(-T/2)|phi>
-    right = basis.conj().T @ u_psi    # <i|U(T/2)|psi>
+             basis: np.ndarray | None = None) -> PathAmplitudeSet:
+    """A_i from the two half-step states, one per column |i> of ``basis``;
+    ``None`` is the standard basis, whose components need no product."""
+    left, right = half_steps          # <i|U(-T/2)|phi>, <i|U(T/2)|psi>
+    if basis is not None:
+        left = basis.conj().T @ left
+        right = basis.conj().T @ right
     return PathAmplitudeSet(left.conj() * right)
 
 
@@ -230,7 +237,9 @@ def relative_amplitudes(a: PathAmplitudeSet) -> RelativeAmplitudeSet:
 
     Raises OrthogonalPostselection when |sum(A)| <= 1e-12: the weak values
     diverge for an (almost) forbidden transition and the caller must decide
-    what to do, rather than receive silently enormous numbers.
+    what to do, rather than receive silently enormous numbers.  It is raised
+    too where sum(A) cancels so far that the rounded alphas, of total size
+    sum|A| / |sum(A)|, can miss their unit sum by more than 1e-10.
     """
     total = a.total
     if abs(total) <= ORTHOGONALITY_THRESHOLD:
@@ -238,7 +247,20 @@ def relative_amplitudes(a: PathAmplitudeSet) -> RelativeAmplitudeSet:
             f"|total amplitude| = {abs(total):.3e} <= "
             f"{ORTHOGONALITY_THRESHOLD:.1e}; "
             "post-selection (nearly) orthogonal; weak values diverge")
-    return RelativeAmplitudeSet(a.amplitudes / total)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        alphas = a.amplitudes / total
+    # each alpha_i is rounded to about eps |alpha_i|, so their sum misses 1
+    # by about sqrt(N) eps sum|alpha|, and sum|alpha| = sum|A| / |sum A|
+    spread = np.abs(alphas).sum()
+    rounding = np.sqrt(alphas.size) * _EPS * spread
+    residual = abs(alphas.sum() - 1.0)
+    if not (rounding <= UNIT_SUM_TOL and residual <= UNIT_SUM_TOL):
+        raise OrthogonalPostselection(
+            f"sum|A| / |sum A| = {spread:.3e}: the relative amplitudes miss "
+            f"their unit sum by {residual:.1e}, and rounding allows "
+            f"{rounding:.1e}, against {UNIT_SUM_TOL:.0e}; "
+            "post-selection nearly orthogonal")
+    return RelativeAmplitudeSet(alphas)
 
 
 def group(a: PathAmplitudeSet, p: EigenvaluePartition) -> PathAmplitudeSet:

@@ -59,9 +59,8 @@ class DiscreteScenario:
         projected onto the standard basis so they are indexed by path."""
         if self.reference_alphas is None:
             return
-        basis = np.eye(self.transition.dimension)
         alphas = relative_amplitudes(
-            _project(_half_steps(self.transition), basis)).alphas
+            _project(_half_steps(self.transition))).alphas
         if np.abs(alphas - self.reference_alphas).max() > 1e-12:
             raise ConfigError(
                 f"scenario '{self.name}' failed its startup verification: "

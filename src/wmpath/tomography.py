@@ -300,14 +300,23 @@ def design_postselection(psi: StateVector, targets) -> StateVector:
             f"targets sum to {total:.12f}, expected 1 within {TARGET_SUM_TOL:.0e}")
 
     psi_amp = psi.amplitudes
-    phi = np.zeros_like(psi_amp)
-    for i, (zi, pi) in enumerate(zip(z, psi_amp)):
-        if pi == 0.0:
-            if zi != 0.0:
-                raise UnreachableTarget(
-                    f"target z[{i}] = {zi} is nonzero on an unpopulated path")
-            continue
-        phi[i] = (zi / pi).conjugate()
+    populated = psi_amp != 0.0
+    unreachable = np.flatnonzero(~populated & (z != 0.0))
+    if unreachable.size:
+        i = unreachable[0]
+        raise UnreachableTarget(
+            f"target z[{i}] = {z[i]} is nonzero on an unpopulated path")
+
+    # z_i / psi_i overflows where psi_i is tiny (subnormal), so divide by
+    # psi_i scaled to modulus [0.5, 1) and put the powers of two back
+    # relative to the largest: exact scalings, and phi stays finite
+    z, psi_amp = z[populated], psi_amp[populated]
+    exponent = np.frexp(np.abs(psi_amp))[1]
+    unit = np.ldexp(psi_amp.real, -exponent) + 1j * np.ldexp(psi_amp.imag, -exponent)
+    ratio = (z / unit).conj()
+    shift = exponent.min() - exponent
+    phi = np.zeros_like(psi.amplitudes)
+    phi[populated] = np.ldexp(ratio.real, shift) + 1j * np.ldexp(ratio.imag, shift)
 
     state = StateVector(phi)  # normalizes; scale freedom lands here
     return StateVector(_fix_phase(state.amplitudes))

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import wmpath.hilbert
+import wmpath.paths
 from wmpath import (
     EigenvaluePartition,
     GaussianPointer,
@@ -292,6 +294,20 @@ class TestCustomConfig:
         assert code == 3
         assert "OrthogonalPostselection" in err
 
+    def test_nearly_orthogonal_postselection_exits_3(self, tmp_path, capsys):
+        # |sum A| = 1e-7 passes the 1e-12 threshold, but alphas of size 1e7
+        # cannot be rounded to a unit sum within 1e-10; this once exited 2
+        # with a bare ValueError
+        psi = np.ones(3) / np.sqrt(3.0)
+        phi = 1e-7 * psi + np.sqrt(1.0 - 1e-14) * np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+        config = {"name": "custom", "psi": psi.tolist(), "phi": phi.tolist(),
+                  "observable": np.diag([1.0, 2.0, 3.0]).tolist()}
+        path = tmp_path / "nearly.json"
+        path.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 3
+        assert "OrthogonalPostselection" in err and "unit sum" in err
+
     def test_eigensolver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         def fail(matrix):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -343,6 +359,53 @@ class TestDesign:
         realized = np.array([row["alpha_re"] + 1j * row["alpha_im"]
                              for row in rows])
         assert np.abs(realized - np.array([100.5, -99.5])).max() < 1e-8
+
+    def test_design_does_no_n_by_n_work(self, tmp_path, capsys, monkeypatch):
+        # N = 4096: H = 0 and T = 0, so no Hamiltonian, eigenbasis or
+        # identity matrix is built; each is 256 MB at this size
+        n = 4096
+        rng = np.random.default_rng(44)
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        targets = (rng.uniform(-2.0, 2.0, size=n)
+                   + 1j * rng.uniform(-2.0, 2.0, size=n)) / np.sqrt(n)
+        targets[-1] += 1.0 - targets.sum()
+        psi_file = tmp_path / "psi.json"
+        targets_file = tmp_path / "z.json"
+        psi_file.write_text(json.dumps([[v.real, v.imag] for v in psi]))
+        targets_file.write_text(json.dumps([[v.real, v.imag] for v in targets]))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("N x N work on the design path")
+
+        monkeypatch.setattr(wmpath.hilbert, "spectral_decompose", refuse)
+        monkeypatch.setattr(wmpath.paths, "spectral_decompose", refuse)
+        monkeypatch.setattr(HermitianMatrix, "__init__", refuse)
+        monkeypatch.setattr(np, "eye", refuse)
+        code, out, err = run_cli(capsys, "design", "--psi", str(psi_file),
+                                 "--targets", str(targets_file),
+                                 "--no-header-meta")
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert len(rows) == n
+        phi = np.array([row["phi_re"] + 1j * row["phi_im"] for row in rows])
+        realized = np.array([row["alpha_re"] + 1j * row["alpha_im"]
+                             for row in rows])
+        amplitudes = phi.conj() * psi  # H = 0: A_i = conj(phi_i) psi_i
+        assert np.abs(realized - amplitudes / amplitudes.sum()).max() < 1e-10
+        assert np.abs(realized - targets).max() < 1e-10
+
+    @pytest.mark.parametrize("tiny", ["1e-200", "1e-310"])
+    def test_tiny_psi_component_exits_3(self, tmp_path, capsys, tiny):
+        # z / psi once overflowed at a subnormal psi component (exit 2, with
+        # a RuntimeWarning); both sizes leave an amplitude sum of ~2 tiny
+        psi_file = tmp_path / "psi.json"
+        targets_file = tmp_path / "z.json"
+        psi_file.write_text(f"[1, {tiny}]")
+        targets_file.write_text("[0.5, 0.5]")
+        code, _, err = run_cli(capsys, "design", "--psi", str(psi_file),
+                               "--targets", str(targets_file))
+        assert code == 3
+        assert "OrthogonalPostselection" in err
 
     def test_target_count_mismatch_exits_2(self, tmp_path, capsys):
         psi_file = tmp_path / "psi.json"

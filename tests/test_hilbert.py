@@ -51,6 +51,25 @@ class TestHermitianMatrix:
         m = HermitianMatrix([[1.0, 1j], [-1j, 2.0]])
         assert m.dimension == 2
 
+    def test_entries_near_the_float_limit_stay_finite(self):
+        # the average (m + m^H) / 2 once summed first and overflowed to inf
+        m = HermitianMatrix([[0.0, 1e308j], [-1e308j, 1e308]])
+        assert m.entries[1, 1] == 1e308
+        assert m.entries[0, 1] == 1e308j
+
+    def test_stored_average_is_the_plain_average(self):
+        # halving is exact, so halving first rounds as the sum of halves did
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        a = a + a.conj().T
+        a[0, 1] += 1e-14  # within the tolerance, so the average is rounded
+        assert np.array_equal(HermitianMatrix(a).entries, 0.5 * (a + a.conj().T))
+
+    def test_is_diagonal(self):
+        assert HermitianMatrix.zero(3).is_diagonal
+        assert HermitianMatrix(np.diag([2.0, 0.0, -1.0])).is_diagonal
+        assert not HermitianMatrix(PAULI_X).is_diagonal
+
 
 class TestInnerProduct:
     def test_self_overlap_is_one(self):

@@ -25,7 +25,9 @@ from wmpath import (
     weak_value_from_matrix,
 )
 
-from helpers import expm_taylor, random_state, random_transition
+from wmpath.paths import _half_steps
+
+from helpers import expm_taylor, random_hermitian, random_state, random_transition
 
 SQRT2 = np.sqrt(2.0)
 
@@ -113,6 +115,34 @@ class TestPathAmplitudes:
         weak_value_from_matrix(spec, spec.observable.matrix())
         assert calls == [spec.hamiltonian, spec.hamiltonian]
 
+    @pytest.mark.parametrize("total_time", [0.0, 1.3])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    @pytest.mark.parametrize("kind", ["zero", "ties", "distinct"])
+    def test_diagonal_hamiltonian_is_not_decomposed(self, monkeypatch, kind, n,
+                                                    total_time):
+        rng = np.random.default_rng(n)
+        energies = {"zero": np.zeros(n),
+                    "ties": rng.integers(-2, 3, size=n).astype(float),
+                    "distinct": rng.normal(size=n)}[kind]
+        h = HermitianMatrix(np.diag(energies))
+        spec = TransitionSpec(random_state(rng, n), random_state(rng, n), h,
+                              total_time)
+        calls = []
+        original = wmpath.paths.spectral_decompose
+        monkeypatch.setattr(wmpath.paths, "spectral_decompose",
+                            lambda m: calls.append(m) or original(m))
+        u_phi, u_psi = _half_steps(spec)
+        assert calls == []
+        # the eigen route: the same evolution through the spectral form
+        spectral = Observable.from_matrix(h)
+        half = total_time / 2.0
+        assert np.array_equal(u_phi, evolve(spec.phi, spectral, -half).amplitudes)
+        assert np.array_equal(u_psi, evolve(spec.psi, spectral, half).amplitudes)
+        dense = TransitionSpec(spec.psi, spec.phi, random_hermitian(rng, n),
+                               total_time)
+        _half_steps(dense)
+        assert calls == ([] if n == 1 else [dense.hamiltonian])
+
 
 class TestRelativeAmplitudes:
     def test_spin100_reference_values(self):
@@ -140,6 +170,13 @@ class TestRelativeAmplitudes:
                               HermitianMatrix.zero(2), 0.0, natural_basis(2))
         with pytest.raises(OrthogonalPostselection):
             relative_amplitudes(path_amplitudes(spec))
+
+    def test_cancelling_total_raises_orthogonal_postselection(self):
+        # |sum A| = 1e-9 passes the 1e-12 threshold, but alphas of size 1e9
+        # cannot be rounded to a unit sum within 1e-10
+        amps = PathAmplitudeSet([1.0 / 3.0, 1.0 / 7.0, -(1.0 / 3.0 + 1.0 / 7.0) + 1e-9])
+        with pytest.raises(OrthogonalPostselection, match="unit sum"):
+            relative_amplitudes(amps)
 
     def test_nan_alpha_rejected(self):
         # abs(nan - 1) > tol is False, so a NaN once passed the sum check

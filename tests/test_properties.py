@@ -186,10 +186,11 @@ def test_joint_readings_match_single_meters(case):
             joint_weak_means(spec, battery)
         return
     # below an overlap of about 1e-5 the rounded alphas may miss their unit
-    # sum by more than 1e-10, which RelativeAmplitudeSet rejects
+    # sum by more than 1e-10, which relative_amplitudes reports as a nearly
+    # orthogonal post-selection
     try:
         joint = joint_weak_means(spec, battery)
-    except ValueError:
+    except OrthogonalPostselection:
         assert overlap < 1e-4
         return
     amps = path_amplitudes(spec.with_observable(
@@ -203,7 +204,7 @@ def test_joint_readings_match_single_meters(case):
             alone = weak_asymptotics(
                 relative_amplitudes(path_amplitudes(spec.with_observable(op))),
                 op, pointer)
-        except ValueError:  # the same check, on alphas rounded in another order
+        except OrthogonalPostselection:  # the same check, alphas rounded in another order
             assert overlap < 1e-4
             continue
         assert abs(joint.mean_f[j] - alone.mean_f) <= scales[j]

@@ -372,6 +372,17 @@ class TestDesignPostselection:
         with pytest.raises(UnreachableTarget):
             design_postselection(StateVector([1.0, 0.0]), [0.5, 0.5])
 
+    def test_unreachable_target_names_the_first_index(self):
+        with pytest.raises(UnreachableTarget, match=r"z\[1\]"):
+            design_postselection(StateVector([1.0, 0.0, 1.0, 0.0]),
+                                 [0.5, 0.25, 0.0, 0.25])
+
+    @pytest.mark.parametrize("tiny", [1e-200, 1e-310])
+    def test_tiny_component_keeps_phi_finite(self, tiny):
+        # z / psi once overflowed for a subnormal psi component
+        phi = design_postselection(StateVector([1.0, tiny]), [0.5, 0.5])
+        assert np.array_equal(phi.amplitudes, [tiny, 1.0])
+
     def test_zero_target_on_unpopulated_path_is_fine(self):
         phi = design_postselection(StateVector([1.0, 0.0]), [1.0, 0.0])
         assert np.abs(phi.amplitudes - [1.0, 0.0]).max() < 1e-14
